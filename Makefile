@@ -13,7 +13,7 @@ COVER_PKGS  ?= ./internal/approx ./internal/engine ./internal/rankagg \
 # Fixed benchtime so bench.json artifacts are comparable across commits.
 BENCHTIME ?= 20x
 
-.PHONY: all build test race bench bench-json bench-compare bench-compare-base bench-baseline lint fmt cover fuzz vulncheck cluster-smoke
+.PHONY: all build test race bench bench-json bench-compare bench-compare-base bench-baseline lint fmt cover fuzz vulncheck cluster-smoke perfbench-test
 
 all: build test
 
@@ -33,15 +33,17 @@ race:
 bench:
 	$(GO) test -short -run XXX -bench . -benchtime 1x ./...
 
-# Benchmark regression tracking: run the engine and genfunc-kernel
-# benchmarks (the convolution microbenchmarks ride along) with a fixed
+# Benchmark regression tracking: run the engine, genfunc-kernel and topk
+# consensus-step benchmarks (the convolution microbenchmarks ride along;
+# topk's footrule benchmark pairs the row-based cost matrix with its
+# map-based legacy oracle) with a fixed
 # -benchtime and emit both the raw benchstat-compatible text (bench.txt)
 # and a parsed bench.json; CI uploads both as artifacts on pushes to main
 # so the perf trajectory accumulates.
 # (No pipe here: a redirect keeps `go test`'s exit status visible to make,
 # so a panicking benchmark fails the target instead of shipping a partial
 # artifact.)
-BENCH_JSON_PKGS ?= ./internal/engine ./internal/genfunc
+BENCH_JSON_PKGS ?= ./internal/engine ./internal/genfunc ./internal/topk
 bench-json:
 	$(GO) test -short -run XXX -bench . -benchtime $(BENCHTIME) -count 1 $(BENCH_JSON_PKGS) > bench.txt
 	cat bench.txt
@@ -105,6 +107,15 @@ fuzz:
 # cmd/clustersmoke).
 cluster-smoke:
 	$(GO) run ./cmd/clustersmoke
+
+# The serving benchmark (perfbench/) is its own module, outside ./...,
+# so the root targets never vet or test it.  Run both in the environment
+# perfbench/run.sh builds it with: local toolchain, no module proxy, no
+# workspace, no inherited flags.
+PERFBENCH_ENV = GOTOOLCHAIN=local GOPROXY=off GOWORK=off GOFLAGS=
+perfbench-test:
+	$(PERFBENCH_ENV) $(GO) -C perfbench vet ./...
+	$(PERFBENCH_ENV) $(GO) -C perfbench test ./...
 
 lint:
 	@fmt_out="$$(gofmt -l .)"; \

@@ -44,29 +44,32 @@ func Min(cost [][]float64) (rowTo []int, total float64, err error) {
 
 	// 1-indexed potentials over rows (u) and columns (v); p[j] is the row
 	// matched to column j (0 = none); way[j] is the previous column on the
-	// alternating path found by the Dijkstra-like scan.
+	// alternating path found by the Dijkstra-like scan.  minv and used are
+	// the scan's per-row scratch, allocated once and reset for every row.
 	u := make([]float64, n+1)
 	v := make([]float64, m+1)
 	p := make([]int, m+1)
 	way := make([]int, m+1)
+	minv := make([]float64, m+1)
+	used := make([]bool, m+1)
 	for i := 1; i <= n; i++ {
 		p[0] = i
 		j0 := 0
-		minv := make([]float64, m+1)
-		used := make([]bool, m+1)
 		for j := range minv {
 			minv[j] = math.Inf(1)
 		}
+		clear(used)
 		for {
 			used[j0] = true
 			i0 := p[j0]
+			row := cost[i0-1]
 			delta := math.Inf(1)
 			j1 := -1
 			for j := 1; j <= m; j++ {
 				if used[j] {
 					continue
 				}
-				cur := cost[i0-1][j-1] - u[i0] - v[j]
+				cur := row[j-1] - u[i0] - v[j]
 				if cur < minv[j] {
 					minv[j] = cur
 					way[j] = j0
@@ -108,15 +111,22 @@ func Min(cost [][]float64) (rowTo []int, total float64, err error) {
 	return rowTo, total, nil
 }
 
-// Max solves max-profit assignment by negating the matrix; same contract
-// as Min.
+// Max solves max-profit assignment by negating the matrix into one flat
+// buffer; same contract as Min.
 func Max(profit [][]float64) (rowTo []int, total float64, err error) {
+	size := 0
+	for _, row := range profit {
+		size += len(row)
+	}
+	flat := make([]float64, size)
 	neg := make([][]float64, len(profit))
+	off := 0
 	for i, row := range profit {
-		neg[i] = make([]float64, len(row))
+		neg[i] = flat[off : off+len(row) : off+len(row)]
 		for j, c := range row {
 			neg[i][j] = -c
 		}
+		off += len(row)
 	}
 	rowTo, negTotal, err := Min(neg)
 	return rowTo, -negTotal, err

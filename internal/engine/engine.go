@@ -532,13 +532,13 @@ func (e *Engine) dispatch(ctx context.Context, resp *Response, te *treeEntry, re
 			} else {
 				w = setconsensus.MedianWorldSymDiff(te.tree)
 			}
-			return worldResult{world: w, expected: setconsensus.ExpectedSymDiff(te.tree, w)}, nil
+			return worldResult{leaves: w.Leaves(), expected: setconsensus.ExpectedSymDiff(te.tree, w)}, nil
 		})
 		if err != nil {
 			return err
 		}
 		res := v.(worldResult)
-		resp.World = res.world.Leaves()
+		resp.World = res.worldCopy()
 		resp.Expected = ptr(res.expected)
 		return nil
 
@@ -629,9 +629,22 @@ type topkResult struct {
 	expected float64
 }
 
+// worldResult keeps the world's leaves already sorted by key, the order a
+// response lists them in, so a cache hit copies a slice instead of walking
+// and sorting the world's map again.
 type worldResult struct {
-	world    *types.World
+	leaves   []types.Leaf
 	expected float64
+}
+
+// worldCopy returns the world's leaves for one response; the copy keeps
+// the cached slice out of reach of the caller, and an empty world stays
+// empty rather than nil, as (*types.World).Leaves returns it.
+func (r worldResult) worldCopy() []types.Leaf {
+	if r.leaves == nil {
+		return nil
+	}
+	return append(make([]types.Leaf, 0, len(r.leaves)), r.leaves...)
 }
 
 // topkMean answers OpTopKMean, caching the deterministic result per

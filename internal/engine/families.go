@@ -54,13 +54,13 @@ func (e *Engine) jaccardWorld(resp *Response, te *treeEntry, req Request) error 
 		if err != nil {
 			return nil, err
 		}
-		return worldResult{world: w, expected: exp}, nil
+		return worldResult{leaves: w.Leaves(), expected: exp}, nil
 	})
 	if err != nil {
 		return err
 	}
 	res := v.(worldResult)
-	resp.World = res.world.Leaves()
+	resp.World = res.worldCopy()
 	resp.Expected = ptr(res.expected)
 	return nil
 }

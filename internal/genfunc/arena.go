@@ -58,6 +58,10 @@ type arena struct {
 	// before parents — the flush needs no sorting at all.
 	dirty    []uint64
 	anyDirty bool
+
+	// gen is the Program weight generation (see Program.wgen) that vals
+	// and the snapshot reflect; acquireArena catches up a stale arena.
+	gen uint64
 }
 
 // dualX as a leaf x-degree assigns the polynomial 1+x instead of a
@@ -90,6 +94,9 @@ func newArena(p *Program, xcap, ycap int) *arena {
 			ar.lens[i] = 1
 		}
 	}
+	p.poolMu.Lock()
+	ar.gen = p.wgen
+	p.poolMu.Unlock()
 	ar.evalFull()
 	ar.snapVals = append([]float64(nil), ar.vals...)
 	ar.snapLens = append([]int32(nil), ar.lens...)

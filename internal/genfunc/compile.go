@@ -108,6 +108,15 @@ type Program struct {
 	pools   map[[2]int]*sync.Pool
 	scratch sync.Pool
 
+	// wgen counts the weight patches applied to insts (Apply), and
+	// instGen[id] is the generation that last changed instruction id (nil
+	// until the first patch).  Each arena records the generation its
+	// values reflect, and acquireArena re-evaluates a stale one along the
+	// instructions stamped after it (catchUp in delta.go).  Guarded by
+	// poolMu.
+	wgen    uint64
+	instGen []uint64
+
 	// valMu/valDone cache ValidateScores' verdict: score validity is a
 	// property of the tree's leaves and weights alone, so repeated batched
 	// evaluations (every Ranks call) check it once.  Unlike a sync.Once
@@ -162,8 +171,9 @@ func compiled(t *andxor.Tree) *Program {
 	return p
 }
 
-// acquireArena returns a pooled arena with the given caps, reset to the
-// all-zero leaf assignment, allocating only when the pool is empty.
+// acquireArena returns a pooled arena with the given caps, caught up with
+// the current weights and reset to the all-zero leaf assignment,
+// allocating only when the pool is empty.
 func (p *Program) acquireArena(xcap, ycap int) *arena {
 	key := [2]int{xcap, ycap}
 	p.poolMu.Lock()
@@ -178,6 +188,7 @@ func (p *Program) acquireArena(xcap, ycap int) *arena {
 	p.poolMu.Unlock()
 	if v := pool.Get(); v != nil {
 		ar := v.(*arena)
+		p.catchUp(ar)
 		ar.reset()
 		return ar
 	}

@@ -2,9 +2,10 @@ package genfunc
 
 // This file is the compiled kernel's half of the mutation path.  A
 // Tree.Apply produces an andxor.Delta; Program.Apply consumes it, either
-// patching the instruction weights (and every pooled arena) in place —
-// weight-only deltas: probability updates and evidence conditioning — or
-// recompiling when the leaf set changed (insert/delete).
+// patching the instruction weights in place, with pooled arenas catching
+// up on their next acquisition — weight-only deltas: probability updates
+// and evidence conditioning — or recompiling when the leaf set changed
+// (insert/delete).
 //
 // The weight patch is bit-identical to a cold recompile by construction:
 // the Delta carries the exact float64 values a cold Compile of the mutated
@@ -17,7 +18,6 @@ package genfunc
 // lands every arena on the cold program's state too.
 
 import (
-	"sync"
 	"weak"
 
 	"consensus/internal/andxor"
@@ -51,7 +51,7 @@ func (p *Program) Apply(t *andxor.Tree, d *andxor.Delta) (*Program, bool, []int3
 	p.valErr = nil
 	p.valMu.Unlock()
 	if len(changed) > 0 {
-		p.patchArenas(changed)
+		p.markPatched(changed)
 	}
 	return p, true, changed
 }
@@ -59,10 +59,10 @@ func (p *Program) Apply(t *andxor.Tree, d *andxor.Delta) (*Program, bool, []int3
 // ApplyAll brings p up to date with a batch of mutations already applied
 // to t (in order), amortizing the per-delta costs: the weight patches of
 // the whole batch accumulate into one dirty instruction set, the
-// score-validation verdict resets once and every pooled arena is repaired
-// once, instead of per update.  A structural delta anywhere in the batch
-// recompiles once, covering the whole batch (the tree already carries
-// every update).  The return contract matches Apply, with changed the
+// score-validation verdict resets once and the weight generation advances
+// once (so each pooled arena catches up in one pass), instead of per
+// update.  A structural delta anywhere in the batch recompiles once,
+// covering the whole batch (the tree already carries every update).  The return contract matches Apply, with changed the
 // union of the batch's dirty instruction sets.
 func (p *Program) ApplyAll(t *andxor.Tree, ds []*andxor.Delta) (*Program, bool, []int32) {
 	for _, d := range ds {
@@ -93,7 +93,7 @@ func (p *Program) ApplyAll(t *andxor.Tree, ds []*andxor.Delta) (*Program, bool, 
 	p.valErr = nil
 	p.valMu.Unlock()
 	if len(changed) > 0 {
-		p.patchArenas(changed)
+		p.markPatched(changed)
 	}
 	return p, true, changed
 }
@@ -185,31 +185,46 @@ func (p *Program) patchWeights(d *andxor.Delta) []int32 {
 	return changed
 }
 
-// patchArenas re-evaluates every pooled arena under the patched weights:
-// each arena is drained from its pool, reset to the all-zero assignment,
-// re-evaluated along the changed instructions' root paths, re-snapshotted,
-// and returned to the pool.  Instructions outside those paths have values
-// identical under old and new weights (pure functions of unchanged
-// inputs), so the patched arena is bit-identical to a freshly built one.
-func (p *Program) patchArenas(changed []int32) {
+// markPatched records a weight patch: it advances the program's weight
+// generation and stamps the changed instructions with it.  Pooled arenas
+// are not touched here; each catches up on its next acquisition
+// (catchUp), re-evaluating only the instructions stamped after its own
+// generation.  An eager pass over the pools cannot do this job:
+// sync.Pool.Get never reaches an arena parked in another P's private slot
+// (where a RanksParallel worker's release lands), so a drain would leave
+// arenas evaluated under the old weights behind, to corrupt a later
+// shard of a rank sweep.
+func (p *Program) markPatched(changed []int32) {
 	p.poolMu.Lock()
-	pools := make([]*sync.Pool, 0, len(p.pools))
-	for _, pool := range p.pools {
-		pools = append(pools, pool)
+	defer p.poolMu.Unlock()
+	if p.instGen == nil {
+		p.instGen = make([]uint64, len(p.insts))
 	}
+	p.wgen++
+	for _, id := range changed {
+		p.instGen[id] = p.wgen
+	}
+}
+
+// catchUp brings a pooled arena up to the current weights: it resets the
+// arena to the all-zero assignment, re-evaluates the instructions changed
+// since the arena's generation along their root paths, and re-snapshots.
+// Instructions outside those paths have values identical under old and
+// new weights (pure functions of unchanged inputs), so the caught-up arena
+// is bit-identical to a freshly built one, however many patches it missed.
+func (p *Program) catchUp(ar *arena) {
+	p.poolMu.Lock()
+	if ar.gen == p.wgen {
+		p.poolMu.Unlock()
+		return
+	}
+	var stale []int32
+	for id, g := range p.instGen {
+		if g > ar.gen {
+			stale = append(stale, int32(id))
+		}
+	}
+	ar.gen = p.wgen
 	p.poolMu.Unlock()
-	for _, pool := range pools {
-		var ars []*arena
-		for {
-			v := pool.Get()
-			if v == nil {
-				break
-			}
-			ars = append(ars, v.(*arena))
-		}
-		for _, ar := range ars {
-			ar.patchWeights(changed)
-			pool.Put(ar)
-		}
-	}
+	ar.patchWeights(stale)
 }

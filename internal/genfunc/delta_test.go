@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"runtime"
+	"sync"
 	"testing"
 
 	"consensus/internal/andxor"
@@ -183,6 +185,64 @@ func TestApplyPatchesPooledArenas(t *testing.T) {
 	}
 	p, _, _ = p.Apply(tr, d)
 	assertProgramsAgree(t, tr, p, "second patch with warm pools")
+}
+
+// TestApplyPatchesArenasParkedOnOtherPs pins the lazy arena catch-up:
+// arenas released by goroutines running on other Ps sit in those Ps'
+// private pool slots, where no drain by the patching goroutine reaches
+// them, and must never be handed out again under the old weights.  Each
+// round parks arenas from concurrent evaluations, patches the weights, and
+// checks concurrent evaluations against a cold compile float for float.
+func TestApplyPatchesArenasParkedOnOtherPs(t *testing.T) {
+	tr := testTree(1, 9, 24, 3)
+	p := Compile(tr)
+	rng := rand.New(rand.NewSource(9))
+	g := 2 * runtime.GOMAXPROCS(0)
+	concurrently := func(f func() error) {
+		var wg sync.WaitGroup
+		errs := make(chan error, g)
+		for i := 0; i < g; i++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				errs <- f()
+			}()
+		}
+		wg.Wait()
+		close(errs)
+		for err := range errs {
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	for round := 0; round < 20; round++ {
+		concurrently(func() error {
+			_, err := p.Ranks(4)
+			return err
+		})
+		alts := tr.LeafAlternatives()
+		a := alts[rng.Intn(len(alts))]
+		d, err := tr.Apply(andxor.Update{Kind: andxor.UpdateSetProb, Key: a.Key, Score: a.Score, Prob: 0.05 + 0.9*rng.Float64(), Renormalize: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		p, _, _ = p.Apply(tr, d)
+		want, err := Compile(tr).Ranks(4)
+		if err != nil {
+			t.Fatal(err)
+		}
+		concurrently(func() error {
+			got, err := p.Ranks(4)
+			if err != nil {
+				return err
+			}
+			if !reflect.DeepEqual(got.eq, want.eq) {
+				return fmt.Errorf("round %d: Ranks on a patched program differs from a cold compile", round)
+			}
+			return nil
+		})
+	}
 }
 
 // TestApplyResetsScoreValidation pins the ValidateScores cache reset: a

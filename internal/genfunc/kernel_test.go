@@ -316,40 +316,98 @@ func BenchmarkRanksCompiledVsLegacy(b *testing.B) {
 
 // TestRanksCutoffPrefixBitIdentical pins the cross-cutoff contract the
 // engine's cache reuse depends on: Ranks(t, k) is a bit-identical prefix
-// of Ranks(t, k') for every k < k'.  k=1 exercises the scalar dual-number
-// arena (x-cap 0), whose accumulation order must match the generic
-// kernels' exactly — including adding an or-node's stop constant last
-// (the regression this test pins caught the dual kernel folding it in
-// early, a 1-ulp divergence on trees with multi-child or-nodes).
+// of Ranks(t, K) for every 1 <= k < K <= 32, so a k-answer served from a
+// wider resident distribution is the answer a cutoff-k distribution gives.
+// k=1 exercises the scalar dual-number arena (x-cap 0), whose accumulation
+// order must match the generic kernels' exactly — including adding an
+// or-node's stop constant last (the regression this test pins caught the
+// dual kernel folding it in early, a 1-ulp divergence on trees with
+// multi-child or-nodes).  The 128-block BID tree is the serving
+// benchmark's tree shape.
 func TestRanksCutoffPrefixBitIdentical(t *testing.T) {
-	trees := []*andxor.Tree{
-		// BID shapes with multi-child or-nodes (stop constants on binary
-		// sums) are where the dual kernel's association order diverged.
-		testTree(1, 0, 12, 3),
-		testTree(1, 0, 30, 3),
-		testTree(1, 3, 6, 3),
-	}
-	for shape := 0; shape < 3; shape++ {
-		trees = append(trees, testTree(shape, 51+shape, 18, 3))
-	}
-	for _, tr := range trees {
-		wide, err := Ranks(tr, 9)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, k := range []int{1, 2, 5} {
-			narrow, err := Ranks(tr, k)
+	const maxK = 32
+	for _, tr := range prefixTestTrees() {
+		rds := make([]*RankDist, maxK+1)
+		for k := 1; k <= maxK; k++ {
+			rd, err := Ranks(tr, k)
 			if err != nil {
 				t.Fatal(err)
 			}
-			for _, key := range tr.Keys() {
-				for i := 1; i <= k; i++ {
-					if narrow.PrEq(key, i) != wide.PrEq(key, i) {
-						t.Fatalf("k=%d: PrEq(%q, %d) = %x, k=9 prefix %x (tree %s)",
-							k, key, i, narrow.PrEq(key, i), wide.PrEq(key, i), tr)
-					}
+			rds[k] = rd
+		}
+		for wideK := 2; wideK <= maxK; wideK++ {
+			for k := 1; k < wideK; k++ {
+				if msg := prefixMismatch(rds[k], rds[wideK], k); msg != "" {
+					t.Fatalf("k=%d vs K=%d prefix: %s (tree of %d keys)", k, wideK, msg, len(tr.Keys()))
 				}
 			}
 		}
 	}
+}
+
+// TestRanksAllMatchesRanksParallel pins the engine's mutation re-seeding
+// path: RanksAll over every cutoff 1..32 (shuffled, with a duplicate)
+// must assemble, per cutoff, exactly the distribution a direct
+// RanksParallel call at that cutoff computes, sequential and sharded.
+func TestRanksAllMatchesRanksParallel(t *testing.T) {
+	ks := rand.New(rand.NewSource(5)).Perm(32)
+	for i := range ks {
+		ks[i]++
+	}
+	ks = append(ks, ks[3])
+	for _, tr := range prefixTestTrees() {
+		p := Compile(tr)
+		for _, workers := range []int{1, 3} {
+			all, err := p.RanksAll(ks, workers)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, k := range ks {
+				direct, err := p.RanksParallel(k, workers)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if all[i].K != k {
+					t.Fatalf("cutoff %d came back as K=%d", k, all[i].K)
+				}
+				if msg := prefixMismatch(all[i], direct, k); msg != "" {
+					t.Fatalf("workers %d cutoff %d: RanksAll vs RanksParallel: %s", workers, k, msg)
+				}
+			}
+		}
+	}
+}
+
+// prefixTestTrees are the cross-cutoff test shapes: BID trees with
+// multi-child or-nodes (where the dual kernel's association order once
+// diverged), the three workload shapes, and a 128-block BID tree.
+func prefixTestTrees() []*andxor.Tree {
+	trees := []*andxor.Tree{
+		testTree(1, 0, 12, 3),
+		testTree(1, 0, 30, 3),
+		testTree(1, 3, 6, 3),
+		testTree(1, 128, 128, 2),
+	}
+	for shape := 0; shape < 3; shape++ {
+		trees = append(trees, testTree(shape, 51+shape, 18, 3))
+	}
+	return trees
+}
+
+// prefixMismatch compares the rank rows of narrow and wide up to rank k,
+// bit for bit, and describes the first difference ("" when none).
+func prefixMismatch(narrow, wide *RankDist, k int) string {
+	for r, key := range narrow.Keys() {
+		ne, we := narrow.EqRow(r), wide.EqRow(r)
+		nl, wl := narrow.LERow(r), wide.LERow(r)
+		for i := 1; i <= k; i++ {
+			if math.Float64bits(ne[i]) != math.Float64bits(we[i]) {
+				return fmt.Sprintf("Pr(r(%s) = %d) = %x vs %x", key, i, ne[i], we[i])
+			}
+			if math.Float64bits(nl[i]) != math.Float64bits(wl[i]) {
+				return fmt.Sprintf("Pr(r(%s) <= %d) = %x vs %x", key, i, nl[i], wl[i])
+			}
+		}
+	}
+	return ""
 }

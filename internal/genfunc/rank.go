@@ -71,6 +71,30 @@ func Ranks(t *andxor.Tree, k int) (*RankDist, error) {
 // Keys returns the tuple keys covered, sorted.
 func (rd *RankDist) Keys() []string { return rd.keys }
 
+// Row returns the position of key in Keys(), the row index EqRow and LERow
+// take; ok is false for a key the distribution does not cover.
+func (rd *RankDist) Row(key string) (r int, ok bool) {
+	i, ok := rd.idx[key]
+	return int(i), ok
+}
+
+// EqRow returns the rank distribution of the key at position r of Keys():
+// element i holds Pr(r(t) = i) for 1 <= i <= K, element 0 is zero.  The
+// slice aliases the shared, possibly cached, distribution, so callers must
+// only read it; Section 5 consumers use it to scan a key's probabilities
+// without a per-cell key lookup.
+func (rd *RankDist) EqRow(r int) []float64 {
+	w := rd.K + 1
+	return rd.eq[r*w : r*w+w : r*w+w]
+}
+
+// LERow is EqRow for the cumulative probabilities: element i holds
+// Pr(r(t) <= i) for 1 <= i <= K, element 0 is zero.
+func (rd *RankDist) LERow(r int) []float64 {
+	w := rd.K + 1
+	return rd.le[r*w : r*w+w : r*w+w]
+}
+
 // PrEq returns Pr(r(t) = i) for 1 <= i <= K (0 outside that range or for
 // unknown keys).
 func (rd *RankDist) PrEq(key string, i int) float64 {

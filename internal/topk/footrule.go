@@ -1,6 +1,8 @@
 package topk
 
 import (
+	"fmt"
+
 	"consensus/internal/andxor"
 	"consensus/internal/assignment"
 	"consensus/internal/genfunc"
@@ -21,45 +23,75 @@ import (
 // brute-force enumeration cross-check (TestExpectedFootruleMatches-
 // Enumeration, experiment F2) confirms the minus sign is the correct
 // reading; with "+" the closed form overestimates whenever Pr(r(t)>k) > 0.
+//
+// U1 and U2 are aligned with the rows of the rank distribution they were
+// built from: U1[r] belongs to rd.Keys()[r].
 type Upsilons struct {
 	K  int
-	U1 map[string]float64
-	U2 map[string]float64
+	U1 []float64
+	U2 []float64
 }
 
 // NewUpsilons computes Upsilon1 and Upsilon2 for every key.
 func NewUpsilons(rd *genfunc.RankDist, k int) *Upsilons {
-	u := &Upsilons{K: k, U1: map[string]float64{}, U2: map[string]float64{}}
-	for _, key := range rd.Keys() {
+	n := len(rd.Keys())
+	u := &Upsilons{K: k, U1: make([]float64, n), U2: make([]float64, n)}
+	for r := range n {
+		eq := eqRow(rd, r, k)
 		s1, s2 := 0.0, 0.0
 		for i := 1; i <= k; i++ {
-			p := rd.PrEq(key, i)
+			p := eq[i]
 			s1 += p
 			s2 += float64(i) * p
 		}
-		u.U1[key] = s1
-		u.U2[key] = s2
+		u.U1[r] = s1
+		u.U2[r] = s2
 	}
 	return u
+}
+
+// row returns key's rank row (up to rank u.K) with its Upsilon1 and
+// Upsilon2; a foreign key gets a zero row and zero statistics.
+func (u *Upsilons) row(rd *genfunc.RankDist, key string) (eq []float64, u1, u2 float64) {
+	r := rowOf(rd, key)
+	if r >= 0 {
+		u1, u2 = u.U1[r], u.U2[r]
+	}
+	return eqRow(rd, r, u.K), u1, u2
 }
 
 // U3 returns Upsilon3(t, i); foreign keys get Pr(r(t) > k) = 1, i.e.
 // U3 = -i.
 func (u *Upsilons) U3(rd *genfunc.RankDist, key string, i int) float64 {
+	eq, u1, _ := u.row(rd, key)
+	return upsilon3(eq, u1, i, u.K)
+}
+
+// upsilon3 is Upsilon3(t, i) on t's rank row eq (entries 1..k) with
+// Upsilon1(t) = u1.
+func upsilon3(eq []float64, u1 float64, i, k int) float64 {
 	s := 0.0
-	for j := 1; j <= u.K; j++ {
-		s += rd.PrEq(key, j) * float64(abs(i-j))
+	for j := 1; j <= k; j++ {
+		s += eq[j] * float64(abs(i-j))
 	}
-	s -= float64(i) * (1 - u.U1[key])
+	s -= float64(i) * (1 - u1)
 	return s
+}
+
+// footruleCell is f(t, i) (see FootruleCost) on t's rank row eq with
+// statistics u1, u2.  Every cost cell runs exactly these float operations
+// in this order, whichever caller builds it, so the assignment matrix, the
+// key-string helpers and served expectations agree bit for bit.
+func footruleCell(eq []float64, u1, u2 float64, i, k int) float64 {
+	return upsilon3(eq, u1, i, k) + u2 - 2*float64(k+1)*u1
 }
 
 // FootruleConstant returns the tau-independent constant C of the Figure 2
 // derivation: C = (k+1)k + sum_t ((k+1) Upsilon1(t) - Upsilon2(t)).
 func FootruleConstant(rd *genfunc.RankDist, u *Upsilons, k int) float64 {
 	c := float64((k + 1) * k)
-	for _, key := range rd.Keys() {
-		c += float64(k+1)*u.U1[key] - u.U2[key]
+	for r := range rd.Keys() {
+		c += float64(k+1)*u.U1[r] - u.U2[r]
 	}
 	return c
 }
@@ -68,7 +100,8 @@ func FootruleConstant(rd *genfunc.RankDist, u *Upsilons, k int) float64 {
 // 2(k+1) Upsilon1(t), the per-placement cost of the Figure 2 rewriting;
 // E[F*(tau, tau_pw)] = C + sum_i f(tau(i), i).
 func FootruleCost(rd *genfunc.RankDist, u *Upsilons, key string, i int) float64 {
-	return u.U3(rd, key, i) + u.U2[key] - 2*float64(u.K+1)*u.U1[key]
+	eq, u1, u2 := u.row(rd, key)
+	return footruleCell(eq, u1, u2, i, u.K)
 }
 
 // ExpectedFootrule returns E[F*(tau, tau_pw)] in closed form via the
@@ -108,13 +141,16 @@ func MeanFootruleRanks(rd *genfunc.RankDist, u *Upsilons, k int) (List, float64,
 	if k > len(keys) {
 		k = len(keys)
 	}
-	cost := make([][]float64, k)
-	for i := 1; i <= k; i++ {
-		row := make([]float64, len(keys))
-		for ti, key := range keys {
-			row[ti] = FootruleCost(rd, u, key, i)
+	if len(u.U1) != len(keys) {
+		return nil, 0, fmt.Errorf("topk: Upsilon statistics cover %d keys, rank distribution %d", len(u.U1), len(keys))
+	}
+	// Filled key by key, from one row fetch each.
+	cost := newMatrix(k, len(keys))
+	for r := range keys {
+		eq, u1, u2 := eqRow(rd, r, u.K), u.U1[r], u.U2[r]
+		for i := 1; i <= k; i++ {
+			cost[i-1][r] = footruleCell(eq, u1, u2, i, u.K)
 		}
-		cost[i-1] = row
 	}
 	rowTo, total, err := assignment.Min(cost)
 	if err != nil {

@@ -95,18 +95,17 @@ func TestUpsilonStatisticsAgainstEnumeration(t *testing.T) {
 		}
 		u := NewUpsilons(rd, k)
 		ws := exact.MustEnumerate(tr)
-		for _, key := range tr.Keys() {
-			key := key
+		for r, key := range rd.Keys() {
 			u1 := exact.RankAtMostProb(ws, key, k)
-			if !numeric.AlmostEqual(u.U1[key], u1, 1e-9) {
-				t.Fatalf("U1(%s) = %g, enum %g", key, u.U1[key], u1)
+			if !numeric.AlmostEqual(u.U1[r], u1, 1e-9) {
+				t.Fatalf("U1(%s) = %g, enum %g", key, u.U1[r], u1)
 			}
 			u2 := 0.0
 			for i := 1; i <= k; i++ {
 				u2 += float64(i) * exact.RankProb(ws, key, i)
 			}
-			if !numeric.AlmostEqual(u.U2[key], u2, 1e-9) {
-				t.Fatalf("U2(%s) = %g, enum %g", key, u.U2[key], u2)
+			if !numeric.AlmostEqual(u.U2[r], u2, 1e-9) {
+				t.Fatalf("U2(%s) = %g, enum %g", key, u.U2[r], u2)
 			}
 			for i := 1; i <= k; i++ {
 				want := 0.0

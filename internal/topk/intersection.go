@@ -1,8 +1,6 @@
 package topk
 
 import (
-	"sort"
-
 	"consensus/internal/andxor"
 	"consensus/internal/assignment"
 	"consensus/internal/genfunc"
@@ -17,14 +15,17 @@ import (
 //	E[d_I] = (1/k) sum_{i=1..k} (1/2i) ( i + sum_t Pr(r(t)<=i)
 //	                                        - 2 sum_{t in tau^i} Pr(r(t)<=i) ).
 func ExpectedIntersection(rd *genfunc.RankDist, tau List, k int) float64 {
+	n := len(rd.Keys())
+	tauLE := tauRows(rd, tau, k)
 	e := 0.0
 	for i := 1; i <= k; i++ {
 		term := float64(i)
-		for _, key := range rd.Keys() {
-			term += rd.PrLE(key, i)
+		c := min(i, rd.K) // PrLE clamps beyond the cutoff
+		for r := range n {
+			term += rd.LERow(r)[c]
 		}
 		for j := 0; j < i && j < len(tau); j++ {
-			term -= 2 * rd.PrLE(tau[j], i)
+			term -= 2 * tauLE[j][i]
 		}
 		// Foreign keys in the prefix contribute Pr(r<=i)=0 and each adds
 		// one certain mismatch, already counted by the +i term via the
@@ -43,18 +44,19 @@ func ExpectedIntersection(rd *genfunc.RankDist, tau List, k int) float64 {
 // profit[j][t] = sum_{i=j+1..k} Pr(r(t) <= i)/i is the gain of placing
 // tuple keys[t] at (1-based) position j+1.  Maximizing the total profit
 // over injective position->tuple assignments minimizes E[d_I].
+//
+// The matrix is filled key by key, from one cumulative-row fetch each.
 func IntersectionProfit(rd *genfunc.RankDist, keys []string, k int) [][]float64 {
-	profit := make([][]float64, k)
-	for j := 1; j <= k; j++ {
-		row := make([]float64, len(keys))
-		for ti, key := range keys {
+	profit := newMatrix(k, len(keys))
+	for ti, key := range keys {
+		le := leRow(rd, rowOf(rd, key), k)
+		for j := 1; j <= k; j++ {
 			s := 0.0
 			for i := j; i <= k; i++ {
-				s += rd.PrLE(key, i) / float64(i)
+				s += le[i] / float64(i)
 			}
-			row[ti] = s
+			profit[j-1][ti] = s
 		}
-		profit[j-1] = row
 	}
 	return profit
 }
@@ -98,13 +100,24 @@ func MeanIntersectionRanks(rd *genfunc.RankDist, k int) (List, error) {
 // sum_{i=1..k} Pr(r(t) <= i)/i for every key (Section 5.3), a special case
 // of the parameterized ranking functions of the authors' earlier work.
 func UpsilonH(rd *genfunc.RankDist, k int) map[string]float64 {
-	out := make(map[string]float64, len(rd.Keys()))
-	for _, key := range rd.Keys() {
+	vals := upsilonH(rd, k)
+	out := make(map[string]float64, len(vals))
+	for r, key := range rd.Keys() {
+		out[key] = vals[r]
+	}
+	return out
+}
+
+// upsilonH is UpsilonH aligned with the rows of rd.
+func upsilonH(rd *genfunc.RankDist, k int) []float64 {
+	out := make([]float64, len(rd.Keys()))
+	for r := range out {
+		le := leRow(rd, r, k)
 		s := 0.0
 		for i := 1; i <= k; i++ {
-			s += rd.PrLE(key, i) / float64(i)
+			s += le[i] / float64(i)
 		}
-		out[key] = s
+		out[r] = s
 	}
 	return out
 }
@@ -127,29 +140,29 @@ func MeanIntersectionUpsilon(t *andxor.Tree, k int) (List, *genfunc.RankDist, er
 // MeanIntersectionUpsilonRanks is MeanIntersectionUpsilon on a precomputed
 // rank distribution with cutoff rd.K >= k.
 func MeanIntersectionUpsilonRanks(rd *genfunc.RankDist, k int) List {
-	ups := UpsilonH(rd, k)
-	keys := append([]string(nil), rd.Keys()...)
-	sort.SliceStable(keys, func(i, j int) bool {
-		if ups[keys[i]] != ups[keys[j]] {
-			return ups[keys[i]] > ups[keys[j]]
-		}
-		return keys[i] < keys[j]
-	})
-	if len(keys) > k {
-		keys = keys[:k]
-	}
-	return List(keys)
+	return topByValue(rd.Keys(), upsilonH(rd, k), k)
 }
 
 // IntersectionObjective returns A(tau) = sum_{i=1..k} (1/i) sum_{t in
 // tau^i} Pr(r(t) <= i), the term Section 5.3 maximizes; E[d_I] is a
 // constant minus A(tau)/k (up to the prefix-length correction).
 func IntersectionObjective(rd *genfunc.RankDist, tau List, k int) float64 {
+	tauLE := tauRows(rd, tau, k)
 	a := 0.0
 	for i := 1; i <= k; i++ {
 		for j := 0; j < i && j < len(tau); j++ {
-			a += rd.PrLE(tau[j], i) / float64(i)
+			a += tauLE[j][i] / float64(i)
 		}
 	}
 	return a
+}
+
+// tauRows returns the cumulative rank rows (up to rank k) of tau's keys,
+// zero rows for foreign keys.
+func tauRows(rd *genfunc.RankDist, tau List, k int) [][]float64 {
+	rows := make([][]float64, len(tau))
+	for j, key := range tau {
+		rows[j] = leRow(rd, rowOf(rd, key), k)
+	}
+	return rows
 }

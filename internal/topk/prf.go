@@ -74,12 +74,17 @@ func PRF(t *andxor.Tree, w WeightFunc, cutoff int) (map[string]float64, error) {
 // PRFFromRanks computes the same values from a precomputed rank
 // distribution.
 func PRFFromRanks(rd *genfunc.RankDist, w WeightFunc) map[string]float64 {
+	ws := make([]float64, rd.K+1)
+	for i := 1; i <= rd.K; i++ {
+		ws[i] = w(i)
+	}
 	out := make(map[string]float64, len(rd.Keys()))
-	for _, key := range rd.Keys() {
+	for r, key := range rd.Keys() {
+		eq := rd.EqRow(r)
 		s := 0.0
 		for i := 1; i <= rd.K; i++ {
-			if wi := w(i); wi != 0 {
-				s += wi * rd.PrEq(key, i)
+			if wi := ws[i]; wi != 0 {
+				s += wi * eq[i]
 			}
 		}
 		out[key] = s

@@ -70,18 +70,41 @@ func MeanSymDiff(t *andxor.Tree, k int) (List, *genfunc.RankDist, error) {
 // cutoff rd.K >= k, letting callers (notably the serving engine) amortize
 // the expensive Ranks computation across queries.
 func MeanSymDiffRanks(rd RankSource, k int) List {
-	keys := append([]string(nil), rd.Keys()...)
-	sort.SliceStable(keys, func(i, j int) bool {
-		pi, pj := rd.PrLE(keys[i], k), rd.PrLE(keys[j], k)
-		if pi != pj {
-			return pi > pj
-		}
-		return keys[i] < keys[j]
-	})
-	if len(keys) > k {
-		keys = keys[:k]
+	keys := rd.Keys()
+	col := make([]float64, len(keys))
+	for i, key := range keys {
+		col[i] = rd.PrLE(key, k)
 	}
-	return List(keys)
+	return topByValue(keys, col, k)
+}
+
+// topByValue returns the k keys with the largest values (all of them when
+// there are fewer), by decreasing value with ties broken by key; vals[i]
+// belongs to keys[i].  The values are computed once up front, so the
+// sort's comparisons read them instead of recomputing two per call.
+func topByValue(keys []string, vals []float64, k int) List {
+	type keyed struct {
+		key string
+		v   float64
+	}
+	order := make([]keyed, len(keys))
+	for i, key := range keys {
+		order[i] = keyed{key, vals[i]}
+	}
+	sort.SliceStable(order, func(i, j int) bool {
+		if order[i].v != order[j].v {
+			return order[i].v > order[j].v
+		}
+		return order[i].key < order[j].key
+	})
+	if len(order) > k {
+		order = order[:k]
+	}
+	out := make(List, len(order))
+	for i, o := range order {
+		out[i] = o.key
+	}
+	return out
 }
 
 // MedianSymDiff returns a median top-k answer under the normalized
