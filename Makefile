@@ -13,7 +13,7 @@ COVER_PKGS  ?= ./internal/approx ./internal/engine ./internal/rankagg \
 # Fixed benchtime so bench.json artifacts are comparable across commits.
 BENCHTIME ?= 20x
 
-.PHONY: all build test race bench bench-json bench-compare bench-compare-base bench-baseline lint fmt cover fuzz vulncheck cluster-smoke perfbench-test
+.PHONY: all build test race bench bench-json bench-compare bench-compare-base bench-baseline lint fmt cover fuzz vulncheck cluster-smoke perfbench-test loc
 
 all: build test
 
@@ -25,6 +25,11 @@ test:
 
 race:
 	$(GO) test -race ./...
+
+# Net non-test Go line count of the root module (perfbench/ is its own
+# module and is excluded), the size figure a subtraction change reports.
+loc:
+	@find . -name '*.go' ! -name '*_test.go' ! -path './perfbench/*' ! -path './.bench-base/*' -exec cat {} + | wc -l | awk '{print "non-test Go lines:", $$1}'
 
 # Benchmark smoke: one iteration of every benchmark, no tests (-run XXX),
 # proving the bench harness itself stays green without burning CI minutes.

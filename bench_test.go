@@ -7,7 +7,6 @@ package consensus
 //
 //	go test -bench=. -benchmem
 import (
-	"context"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -18,7 +17,6 @@ import (
 	"consensus/internal/cluster"
 	"consensus/internal/exact"
 	"consensus/internal/genfunc"
-	"consensus/internal/montecarlo"
 	"consensus/internal/setconsensus"
 	"consensus/internal/spj"
 	"consensus/internal/topk"
@@ -41,9 +39,10 @@ func BenchmarkF1aWorldSizeDistribution(b *testing.B) {
 func BenchmarkF1bRankGeneratingFunction(b *testing.B) {
 	tr := andxor.Figure1iii()
 	target := types.Leaf{Key: "t3", Score: 6}
+	prog := genfunc.Compile(tr)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		f := genfunc.Eval2(tr, func(_ int, l types.Leaf) (int, int) {
+		f := prog.Eval(func(_ int, l types.Leaf) (int, int) {
 			if l == target {
 				return 0, 1
 			}
@@ -466,7 +465,7 @@ func BenchmarkB10MonteCarlo(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := montecarlo.ExpectedValue(context.Background(), tr, func(w *types.World) float64 {
+		if _, err := EstimateExpected(tr, func(w *types.World) float64 {
 			return float64(w.Len())
 		}, 100, rng); err != nil {
 			b.Fatal(err)

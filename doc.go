@@ -217,7 +217,9 @@
 // rank distribution plus one untruncated recursive pass per key, and
 // score validation batches all tied-pair co-occurrence checks onto one
 // arena at two path updates per pair, reporting a deterministic offending
-// pair.
+// pair.  The compiled program is the only evaluator: co-clustering
+// probabilities, subset counts and the expected Jaccard distance (on
+// dual numbers, O(|tree|·n) memory) evaluate on it as well.
 //
 // # Approximate answers with error budgets
 //

@@ -93,6 +93,14 @@ type Delta struct {
 // is untouched.  Apply is NOT safe for concurrent use with readers of the
 // same tree; the engine serializes mutations against queries per tree.
 func (t *Tree) Apply(u Update) (*Delta, error) {
+	d, err := t.apply(u)
+	if err == nil {
+		t.version++
+	}
+	return d, err
+}
+
+func (t *Tree) apply(u Update) (*Delta, error) {
 	switch u.Kind {
 	case UpdateSetProb:
 		return t.applySetProb(u)
@@ -126,6 +134,7 @@ func (t *Tree) ApplyAll(us []Update) ([]*Delta, error) {
 		return []*Delta{d}, nil
 	}
 	c := t.Clone()
+	c.version = t.version
 	ds := make([]*Delta, len(us))
 	for i, u := range us {
 		d, err := c.Apply(u)
@@ -444,6 +453,7 @@ func (t *Tree) rebuild() error {
 	if err != nil {
 		return fmt.Errorf("andxor: tree invalid after structural mutation: %w", err)
 	}
+	nt.version = t.version
 	*t = *nt
 	return nil
 }

@@ -405,3 +405,41 @@ func TestRenormalizeDriftStaysValid(t *testing.T) {
 		tr.Clone() // panics if accumulated drift corrupted the tree
 	}
 }
+
+// TestVersionCountsMutations pins the mutation counter caches key on:
+// every successful Apply (weight, structural or evidence) and every update
+// of an ApplyAll batch advances it, while rejected updates and batches
+// leave it alone.
+func TestVersionCountsMutations(t *testing.T) {
+	tr := bid2(t)
+	if tr.Version() != 0 {
+		t.Fatalf("fresh tree at version %d", tr.Version())
+	}
+	steps := []struct {
+		us   []Update
+		want uint64
+	}{
+		{[]Update{{Kind: UpdateSetProb, Key: "t1", Score: 8, Prob: 0.4}}, 1},
+		{[]Update{{Kind: UpdateSetProb, Key: "t1", Score: 8, Prob: 2}}, 1}, // rejected
+		{[]Update{{Kind: UpdateInsert, Key: "t2", Score: 1, Prob: 0.1}}, 2},
+		{[]Update{{Kind: UpdateDelete, Key: "t2", Score: 1}}, 3},
+		{[]Update{{Kind: EvidencePresent, Key: "t2"}}, 4},
+		{[]Update{
+			{Kind: UpdateSetProb, Key: "t1", Score: 2, Prob: 0.2, Renormalize: true},
+			{Kind: UpdateInsert, Key: "t1", Score: 3, Prob: 0},
+		}, 6},
+		{[]Update{
+			{Kind: UpdateSetProb, Key: "t1", Score: 2, Prob: 0.3},
+			{Kind: UpdateDelete, Key: "nope", Score: 1}, // rejects the batch
+		}, 6},
+	}
+	for i, st := range steps {
+		tr.ApplyAll(st.us)
+		if got := tr.Version(); got != st.want {
+			t.Fatalf("step %d: version %d, want %d", i, got, st.want)
+		}
+	}
+	if tr.Clone().Version() != 0 {
+		t.Fatal("a clone is a new tree and starts at version 0")
+	}
+}

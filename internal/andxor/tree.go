@@ -35,6 +35,11 @@ type Tree struct {
 	// engine's delta path relies on.
 	keyLeaves map[string][]int
 	leafIndex map[*Node]int
+
+	// version counts the mutations applied in place (mutation.go), so
+	// caches keyed on the *Tree pointer can tell a mutated tree from the
+	// one they were filled from.
+	version uint64
 }
 
 // New validates the DAG-free tree rooted at root and returns it as a Tree.
@@ -184,6 +189,11 @@ func (t *Tree) Keys() []string { return t.keys }
 
 // NumLeaves returns the number of tuple alternatives in the tree.
 func (t *Tree) NumLeaves() int { return len(t.leaves) }
+
+// Version returns the number of in-place mutations (Apply, ApplyAll,
+// conditioning) the tree has gone through.  A cache keyed on the *Tree
+// pointer records it when filled and treats a changed version as a miss.
+func (t *Tree) Version() uint64 { return t.version }
 
 // MarginalProbs returns, for every leaf (indexed as in Leaves), the
 // probability that this exact alternative is present in a random possible

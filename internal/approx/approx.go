@@ -25,8 +25,6 @@ import (
 	"fmt"
 	"math"
 	"runtime"
-
-	"consensus/internal/montecarlo"
 )
 
 // Default budget and sampling parameters, applied when the corresponding
@@ -145,16 +143,41 @@ func FixedSamples(b Budget, max int) (int, error) {
 // mean of n samples of a [0,1]-bounded quantity under the budget: the
 // Radius companion of FixedSamples.
 func FixedRadius(n int, b Budget) float64 {
-	return hoeffdingRadius(n, b.Normalized().Delta)
+	return HoeffdingRadius(n, 0, 1, b.Normalized().Delta)
+}
+
+// HoeffdingRadius returns the half-width of the (1-delta) confidence
+// interval for a mean of n samples of a quantity bounded in [lo, hi]:
+// (hi-lo) * sqrt(ln(2/delta) / (2n)).
+func HoeffdingRadius(n int, lo, hi, delta float64) float64 {
+	if n <= 0 || hi <= lo || delta <= 0 || delta >= 1 {
+		return math.Inf(1)
+	}
+	return (hi - lo) * math.Sqrt(math.Log(2/delta)/(2*float64(n)))
+}
+
+// HoeffdingSamples returns the number of samples sufficient for a
+// (1-delta) confidence interval of half-width at most eps for a quantity
+// bounded in [lo, hi].  Budgets whose count would not even fit an int64
+// (adversarially tiny eps) are rejected rather than overflowed.
+func HoeffdingSamples(eps, lo, hi, delta float64) (int, error) {
+	if eps <= 0 || hi <= lo || delta <= 0 || delta >= 1 {
+		return 0, fmt.Errorf("approx: need eps > 0, hi > lo, 0 < delta < 1")
+	}
+	n := math.Ceil((hi - lo) * (hi - lo) * math.Log(2/delta) / (2 * eps * eps))
+	if math.IsNaN(n) || n >= float64(math.MaxInt64) {
+		return 0, fmt.Errorf("approx: budget (eps=%g, delta=%g) needs %g samples, beyond any feasible run", eps, delta, n)
+	}
+	return int(n), nil
 }
 
 // hoeffdingSamples returns the sample count sufficient for half-width eps
-// on a [0,1]-valued mean at confidence 1-delta (montecarlo owns the
-// formula), erroring out when the budget needs more than max draws.
+// on a [0,1]-valued mean at confidence 1-delta, erroring out when the
+// budget needs more than max draws.
 func hoeffdingSamples(eps, delta float64, max int) (int, error) {
-	n, err := montecarlo.HoeffdingSamples(eps, 0, 1, delta)
+	n, err := HoeffdingSamples(eps, 0, 1, delta)
 	if err != nil {
-		return 0, fmt.Errorf("approx: %w", err)
+		return 0, err
 	}
 	if n > max {
 		return 0, fmt.Errorf("approx: budget (epsilon=%g, delta=%g) needs %d samples, above the %d cap; loosen the budget", eps, delta, n, max)
@@ -163,12 +186,6 @@ func hoeffdingSamples(eps, delta float64, max int) (int, error) {
 		n = 1
 	}
 	return n, nil
-}
-
-// hoeffdingRadius is the half-width of the (1-delta) interval for a mean
-// of n samples of a [0,1]-bounded quantity.
-func hoeffdingRadius(n int, delta float64) float64 {
-	return montecarlo.HoeffdingRadius(n, 0, 1, delta)
 }
 
 // bernsteinRadius is the empirical-Bernstein (1-delta) half-width for a

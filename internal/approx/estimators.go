@@ -137,7 +137,7 @@ func Ranks(ctx context.Context, t *andxor.Tree, k int, b Budget, o Options) (*Ra
 	}
 	re := &RankEstimate{
 		K:    k,
-		Info: Info{Radius: hoeffdingRadius(total, deltaCoord), Samples: total},
+		Info: Info{Radius: HoeffdingRadius(total, 0, 1, deltaCoord), Samples: total},
 		keys: s.keys,
 		eq:   make(map[string][]float64, len(s.keys)),
 		le:   make(map[string][]float64, len(s.keys)),
@@ -214,7 +214,7 @@ func SizeDist(ctx context.Context, t *andxor.Tree, b Budget, o Options) ([]float
 	for i, c := range counts {
 		out[i] = float64(c) / float64(total)
 	}
-	return out, Info{Radius: hoeffdingRadius(total, deltaCoord), Samples: total}, nil
+	return out, Info{Radius: HoeffdingRadius(total, 0, 1, deltaCoord), Samples: total}, nil
 }
 
 // Marginals estimates every key's marginal presence probability.
@@ -247,5 +247,5 @@ func Marginals(ctx context.Context, t *andxor.Tree, b Budget, o Options) (map[st
 	for ki, key := range s.keys {
 		out[key] = float64(counts[ki]) / float64(total)
 	}
-	return out, Info{Radius: hoeffdingRadius(total, deltaCoord), Samples: total}, nil
+	return out, Info{Radius: HoeffdingRadius(total, 0, 1, deltaCoord), Samples: total}, nil
 }

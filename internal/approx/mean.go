@@ -98,7 +98,7 @@ func adaptiveMean(ctx context.Context, b Budget, o Options,
 			return Estimate{Value: mean, Radius: radius, Samples: total}, nil
 		}
 		if total >= nCap {
-			hr := hoeffdingRadius(total, b.Delta/2)
+			hr := HoeffdingRadius(total, 0, 1, b.Delta/2)
 			return Estimate{Value: mean, Radius: math.Min(radius, hr), Samples: total}, nil
 		}
 		batch *= 2

@@ -120,13 +120,13 @@ func FromTree(t *andxor.Tree) *Instance {
 				if !labels[kj][a] {
 					continue
 				}
-				f := genfunc.Eval1(t, func(_ int, l types.Leaf) int {
+				f := genfunc.Eval(t, func(_ int, l types.Leaf) (int, int) {
 					if (l.Key == ki || l.Key == kj) && l.Label == a {
-						return 1
+						return 1, 0
 					}
-					return 0
-				}, 2)
-				p += f.Coeff(2)
+					return 0, 0
+				}, 2, 0)
+				p += f.Coeff(2, 0)
 			}
 			// Both-absent term: the artificial cluster of missing keys.
 			p += genfunc.AllAbsent(t, map[string]bool{ki: true, kj: true})

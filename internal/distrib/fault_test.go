@@ -214,7 +214,7 @@ func TestAdmissionShedsUnderOverload(t *testing.T) {
 		AttemptTimeout:    2 * time.Second,
 		HedgeDelay:        -1,
 		Retries:           -1,
-		AdmissionCapacity: costFamily, // one family op fills the budget
+		AdmissionCapacity: engine.CostFamily, // one family op fills the budget
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -485,6 +485,65 @@ func TestBatchedMutateMatchesReregister(t *testing.T) {
 	}
 }
 
+// TestMutatedFamiliesMatchFreshEngine interleaves renormalizing set-prob
+// writes with reads of the Jaccard and clustering families, whose kernels
+// run on the package-level program memo (keyed on the tree pointer, which
+// the engine keeps stable across in-place mutations).  After the last
+// write every family must answer byte-identically to a fresh engine
+// registered from the mutated tree: a memo that missed a mutation would
+// serve the answer of an earlier epoch.
+func TestMutatedFamiliesMatchFreshEngine(t *testing.T) {
+	trees := []*andxor.Tree{
+		workload.BID(rand.New(rand.NewSource(90)), 8, 2),
+		workload.Labeled(rand.New(rand.NewSource(91)), 7, 2, 3),
+		workload.Independent(rand.New(rand.NewSource(92)), 8),
+	}
+	reads := []Request{
+		{Tree: "db", Op: OpMeanWorldJaccard},
+		{Tree: "db", Op: OpMedianWorldJaccard},
+		{Tree: "db", Op: OpClusteringMean},
+	}
+	for shape, tr := range trees {
+		ms, _ := validRenormBatch(t, tr, 4)
+		if len(ms) < 3 {
+			t.Fatalf("shape %d: only %d valid updates", shape, len(ms))
+		}
+		e := New(Options{})
+		if err := e.Register("db", tr.Clone()); err != nil {
+			t.Fatal(err)
+		}
+		for i := range ms {
+			for _, req := range reads {
+				e.Query(req)
+			}
+			mustOk(t, e.Query(Request{Tree: "db", Op: OpMutate, Mutation: &ms[i]}))
+		}
+		mutated, ok := e.Tree("db")
+		if !ok {
+			t.Fatal("tree vanished")
+		}
+		fresh := New(Options{})
+		if err := fresh.Register("db", mutated); err != nil {
+			t.Fatal(err)
+		}
+		for _, req := range reads {
+			got, want := e.Query(req), fresh.Query(req)
+			got.Epoch = 0
+			gb, err := json.Marshal(got)
+			if err != nil {
+				t.Fatal(err)
+			}
+			wb, err := json.Marshal(want)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(gb, wb) {
+				t.Fatalf("shape %d op %s after %d writes:\n mutated %s\n fresh   %s", shape, req.Op, len(ms), gb, wb)
+			}
+		}
+	}
+}
+
 // TestBatchedConditionMatchesReregister does the same for the Evidences
 // batch form: two evidence assertions under one epoch bump.
 func TestBatchedConditionMatchesReregister(t *testing.T) {

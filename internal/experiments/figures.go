@@ -58,7 +58,7 @@ func F1b() Result {
 		table = append(table, []string{want.World.String(), fmtFloat(want.Prob), fmtFloat(got)})
 	}
 	target := types.Leaf{Key: "t3", Score: 6}
-	f := genfunc.Eval2(tr, func(i int, l types.Leaf) (int, int) {
+	f := genfunc.Eval(tr, func(_ int, l types.Leaf) (int, int) {
 		if l == target {
 			return 0, 1
 		}

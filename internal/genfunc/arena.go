@@ -20,7 +20,7 @@ import "math/bits"
 // branch), keeping the convolution inner loops fixed-stride (conv.go).
 //
 // Leaf assignments are monomials x^xd y^yd, plus one non-monomial form the
-// expected-rank kernel needs: xd == dualX assigns (1+x)·y^yd, whose
+// expected-rank kernel needs: xd == DualX assigns (1+x)·y^yd, whose
 // truncated arithmetic at xcap 1 is exactly dual-number arithmetic (the
 // x^1 coefficient of the root is then the derivative d/dx at x=1, i.e. the
 // expected number of x-marked co-present leaves).
@@ -64,9 +64,11 @@ type arena struct {
 	gen uint64
 }
 
-// dualX as a leaf x-degree assigns the polynomial 1+x instead of a
-// monomial; see the arena comment.
-const dualX = -1
+// DualX as a leaf x-degree assigns the polynomial 1+x instead of a
+// monomial (see the arena comment).  At x-cap 1 this is dual-number
+// arithmetic: the root's x^1 coefficient is the derivative at x=1, i.e.
+// the expected number of DualX-marked leaves present.
+const DualX = -1
 
 // newArena builds an arena for p with the given caps, fully evaluated at
 // the all-zero leaf assignment (so reset is incremental from day one).
@@ -318,7 +320,7 @@ func (ar *arena) recomputeLeaf(id int32, in *inst) {
 		return // monomial truncated away: the zero polynomial
 	}
 	row := ar.vals[base+int(yd)*ar.w:]
-	if xd == dualX {
+	if xd == DualX {
 		// The dual assignment (1+x)·y^yd: coefficients 1, 1 (the x part
 		// truncates away at x-cap 0, leaving the constant).
 		row[0] = 1
@@ -449,11 +451,18 @@ func (ar *arena) recomputeMul(id int32, in *inst) {
 	albase := int(in.a) * (ar.ycap + 1)
 	bbase := int(in.b) * ar.sz
 	blbase := int(in.b) * (ar.ycap + 1)
+	// Rows above an operand's top non-empty row contribute nothing, so
+	// each output row pairs only ya in [y-topB, topA]: a product of
+	// subtrees with few y-marked leaves costs their row counts, not
+	// ycap² (the Jaccard evaluation runs at ycap = n).  The skipped pairs
+	// are exactly the empty ones, so the accumulation order is unchanged.
+	topA, topB := ar.topRow(albase), ar.topRow(blbase)
 	for y := 0; y <= ar.ycap; y++ {
+		lo, hi := max(0, y-topB), min(y, topA)
 		// Effective extent of the output row: the largest product extent
 		// over the contributing (ya, yb) row pairs, clamped to the cap.
 		ext := 0
-		for ya := 0; ya <= y; ya++ {
+		for ya := lo; ya <= hi; ya++ {
 			la := int(ar.lens[albase+ya])
 			lb := int(ar.lens[blbase+y-ya])
 			if la == 0 || lb == 0 {
@@ -469,7 +478,7 @@ func (ar *arena) recomputeMul(id int32, in *inst) {
 		}
 		dst := ar.vals[base+y*ar.w : base+y*ar.w+ext]
 		clear(dst)
-		for ya := 0; ya <= y; ya++ {
+		for ya := lo; ya <= hi; ya++ {
 			la := int(ar.lens[albase+ya])
 			lb := int(ar.lens[blbase+y-ya])
 			if la == 0 || lb == 0 {
@@ -481,4 +490,15 @@ func (ar *arena) recomputeMul(id int32, in *inst) {
 		}
 		ar.lens[lbase+y] = int32(ext)
 	}
+}
+
+// topRow returns the highest y-row with a nonzero effective length in the
+// row lengths starting at lbase, or -1 when every row is empty.
+func (ar *arena) topRow(lbase int) int {
+	for y := ar.ycap; y >= 0; y-- {
+		if ar.lens[lbase+y] != 0 {
+			return y
+		}
+	}
+	return -1
 }

@@ -66,6 +66,10 @@ type inst struct {
 type Program struct {
 	insts []inst
 
+	// version is the source tree's Version at compile time, so the
+	// package-level memo recompiles a tree mutated since.
+	version uint64
+
 	leaves   []types.Leaf // DFS order, parallel to Tree.Leaves
 	leafNode []int32      // leaf index -> instruction index
 	keys     []string     // distinct keys, sorted (as Tree.Keys)
@@ -149,19 +153,25 @@ type Program struct {
 // progCache memoizes Compile per source tree, weakly keyed so the cache
 // never extends a tree's lifetime: the cleanup drops the entry when the
 // tree is collected (the cached Program holds no tree reference, so no
-// cycle keeps either alive).  The package-level evaluators (Ranks,
+// cycle keeps either alive).  The package-level evaluators (Eval, Ranks,
 // Precedence, ExpectedRank, ValidateScores, WorldSizeDist) compile each
-// distinct tree once instead of once per call; the engine additionally
-// pins programs per registered generation.
+// distinct tree version once instead of once per call; the engine
+// additionally pins programs per registered generation.
 var progCache sync.Map // weak.Pointer[andxor.Tree] -> *Program
 
-// compiled returns the memoized Program of t, compiling on first use.
+// compiled returns the memoized Program of t, compiling on first use and
+// recompiling when t was mutated (Tree.Apply) since the memo was filled.
 func compiled(t *andxor.Tree) *Program {
 	wp := weak.Make(t)
-	if v, ok := progCache.Load(wp); ok {
+	v, ok := progCache.Load(wp)
+	if ok && v.(*Program).version == t.Version() {
 		return v.(*Program)
 	}
 	p := Compile(t)
+	if ok {
+		progCache.CompareAndSwap(wp, v, p)
+		return p
+	}
 	if v, raced := progCache.LoadOrStore(wp, p); raced {
 		return v.(*Program)
 	}
@@ -236,6 +246,7 @@ func Compile(t *andxor.Tree) *Program {
 	leaves := t.LeafAlternatives()
 	keys := t.Keys()
 	p := &Program{
+		version:  t.Version(),
 		leaves:   leaves,
 		leafNode: make([]int32, 0, len(leaves)),
 		keys:     keys,

@@ -17,11 +17,7 @@ package genfunc
 // children, re-evaluating the changed instructions and their ancestors
 // lands every arena on the cold program's state too.
 
-import (
-	"weak"
-
-	"consensus/internal/andxor"
-)
+import "consensus/internal/andxor"
 
 // Apply brings p up to date with a mutation already applied to t (the tree
 // p was compiled from) and returns the current program.  Weight-only
@@ -33,14 +29,7 @@ import (
 // engine serializes mutations against queries per tree).
 func (p *Program) Apply(t *andxor.Tree, d *andxor.Delta) (*Program, bool, []int32) {
 	if d == nil || d.Structural {
-		np := Compile(t)
-		// Refresh the package-level memo (if the tree is in it) so the
-		// package-level evaluators agree with the recompiled program.
-		wp := weak.Make(t)
-		if _, ok := progCache.Load(wp); ok {
-			progCache.Store(wp, np)
-		}
-		return np, false, nil
+		return Compile(t), false, nil
 	}
 	changed := p.patchWeights(d)
 	// Weight changes can flip the score-validity verdict: whether two tied

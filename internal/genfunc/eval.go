@@ -5,89 +5,42 @@ import (
 	"consensus/internal/types"
 )
 
-// Assignment1 maps a leaf (identified by its depth-first index and its
-// tuple alternative) to the degree of the single variable x it contributes:
-// 0 for the constant 1, 1 for x, or any small power.
-type Assignment1 func(i int, l types.Leaf) int
-
-// Assignment2 maps a leaf to the degrees (a, b) of the monomial x^a y^b
-// it contributes; (0, 0) is the constant 1.
+// Assignment2 maps a leaf (identified by its depth-first index and its
+// tuple alternative) to the degrees (a, b) of the monomial x^a y^b it
+// contributes; (0, 0) is the constant 1.  An x-degree of DualX assigns
+// (1+x)·y^b instead of a monomial.
 type Assignment2 func(i int, l types.Leaf) (xdeg, ydeg int)
 
-// Eval1 computes the univariate generating function of the tree under the
-// given variable assignment, truncating all products at degree cap
-// (cap < 0 disables truncation).  Per Theorem 1 of the paper the
-// coefficient of x^i in the result is the total probability of the possible
-// worlds containing exactly i leaves of degree-1 assignment (more
-// generally, total marked degree i).
-func Eval1(t *andxor.Tree, assign Assignment1, cap int) Poly {
-	idx := 0
-	var walk func(n *andxor.Node) Poly
-	walk = func(n *andxor.Node) Poly {
-		switch n.Kind() {
-		case andxor.KindLeaf:
-			d := assign(idx, n.Leaf())
-			idx++
-			if cap >= 0 && d > cap {
-				return NewPoly(cap) // monomial truncated away entirely
-			}
-			m := NewPoly(d)
-			m[d] = 1
-			return m
-		case andxor.KindOr:
-			out := Poly{n.StopProb()}
-			for i, c := range n.Children() {
-				p := n.Probs()[i]
-				child := walk(c)
-				if p != 0 {
-					out = out.AddScaled(child, p)
-				}
-			}
-			return out
-		default: // KindAnd
-			out := One()
-			for _, c := range n.Children() {
-				out = out.MulTrunc(walk(c), cap)
-			}
-			return out
+// Eval computes the bivariate generating function of the tree under the
+// given assignment, truncated at (xcap, ycap): the coefficient of x^i y^j
+// is the total probability of worlds with marked x-degree i and y-degree j
+// (Theorem 1 with two variables).  It runs on a pooled arena — one leaf
+// pass, one flush of the marked root paths — so repeated evaluations
+// allocate only the returned polynomial.  Both caps must be non-negative;
+// the arena holds (xcap+1)·(ycap+1) coefficients per instruction.
+func (p *Program) Eval(assign Assignment2, xcap, ycap int) *Poly2 {
+	ar := p.acquireArena(xcap, ycap)
+	for i, l := range p.leaves {
+		xd, yd := assign(i, l)
+		ar.setLeaf(int32(i), int32(xd), int32(yd))
+	}
+	ar.flush()
+	out := NewPoly2(xcap, ycap)
+	root := len(p.insts) - 1
+	for y := 0; y <= ycap; y++ {
+		row := ar.vals[root*ar.sz+y*ar.w:]
+		for x := int32(0); x < ar.lens[root*(ycap+1)+y]; x++ {
+			out.c[int(x)*(ycap+1)+y] = row[x]
 		}
 	}
-	return walk(t.Root())
+	ar.reset()
+	p.releaseArena(ar)
+	return out
 }
 
-// Eval2 computes the bivariate generating function of the tree under the
-// given assignment, truncated at (xcap, ycap).  The coefficient of x^i y^j
-// is the total probability of worlds with marked x-degree i and y-degree j
-// (Theorem 1 with two variables).
-func Eval2(t *andxor.Tree, assign Assignment2, xcap, ycap int) *Poly2 {
-	idx := 0
-	var walk func(n *andxor.Node) *Poly2
-	walk = func(n *andxor.Node) *Poly2 {
-		switch n.Kind() {
-		case andxor.KindLeaf:
-			a, b := assign(idx, n.Leaf())
-			idx++
-			return Monomial2(a, b, xcap, ycap)
-		case andxor.KindOr:
-			out := NewPoly2(xcap, ycap)
-			out.AddConst(n.StopProb())
-			for i, c := range n.Children() {
-				p := n.Probs()[i]
-				child := walk(c)
-				if p != 0 {
-					out.AddScaled(child, p)
-				}
-			}
-			return out
-		default: // KindAnd
-			out := One2(xcap, ycap)
-			for _, c := range n.Children() {
-				out = out.MulTrunc(walk(c))
-			}
-			return out
-		}
-	}
-	return walk(t.Root())
+// Eval is Program.Eval on the memoized compiled program of t.
+func Eval(t *andxor.Tree, assign Assignment2, xcap, ycap int) *Poly2 {
+	return compiled(t).Eval(assign, xcap, ycap)
 }
 
 // WorldSizeDist returns the distribution of possible-world sizes as a
@@ -101,12 +54,23 @@ func WorldSizeDist(t *andxor.Tree) Poly {
 // SubsetSizeDist returns Pr(|pw ∩ S| = i) for the leaf subset S selected by
 // the predicate (Example 2 of the paper).
 func SubsetSizeDist(t *andxor.Tree, inSubset func(i int, l types.Leaf) bool) Poly {
-	return Eval1(t, func(i int, l types.Leaf) int {
-		if inSubset(i, l) {
-			return 1
+	p := compiled(t)
+	marked := make([]bool, len(p.leaves))
+	m := 0
+	for i, l := range p.leaves {
+		if marked[i] = inSubset(i, l); marked[i] {
+			m++
 		}
-		return 0
-	}, -1).Trim(0)
+	}
+	// A world holds at most one alternative per key, so the count never
+	// exceeds the number of keys either.
+	f := p.Eval(func(i int, _ types.Leaf) (int, int) {
+		if marked[i] {
+			return 1, 0
+		}
+		return 0, 0
+	}, min(m, len(p.keys)), 0)
+	return Poly(f.c).Trim(0)
 }
 
 // CoOccurrence returns the probability that all leaves in the given index
@@ -114,24 +78,22 @@ func SubsetSizeDist(t *andxor.Tree, inSubset func(i int, l types.Leaf) bool) Pol
 // exactly those leaves with x.
 func CoOccurrence(t *andxor.Tree, leafIdx map[int]bool) float64 {
 	m := len(leafIdx)
-	p := Eval1(t, func(i int, l types.Leaf) int {
+	return Eval(t, func(i int, _ types.Leaf) (int, int) {
 		if leafIdx[i] {
-			return 1
+			return 1, 0
 		}
-		return 0
-	}, m)
-	return p.Coeff(m)
+		return 0, 0
+	}, m, 0).Coeff(m, 0)
 }
 
 // AllAbsent returns the probability that none of the keys in the given set
 // have any alternative present: the constant coefficient after marking
 // every alternative of those keys with x.
 func AllAbsent(t *andxor.Tree, keys map[string]bool) float64 {
-	p := Eval1(t, func(i int, l types.Leaf) int {
+	return Eval(t, func(_ int, l types.Leaf) (int, int) {
 		if keys[l.Key] {
-			return 1
+			return 1, 0
 		}
-		return 0
-	}, 0)
-	return p.Coeff(0)
+		return 0, 0
+	}, 0, 0).Coeff(0, 0)
 }

@@ -7,10 +7,186 @@ import (
 	"consensus/internal/types"
 )
 
-// Legacy reference implementations of the batched statistics, built
-// directly on the recursive evaluators Eval1/Eval2 exactly as the package
-// computed them before the compiled incremental kernel.  The differential
-// tests pin the kernel to these within 1e-12.
+// Legacy reference implementations: the recursive evaluators Eval1/Eval2
+// (with the polynomial arithmetic only they use) and the batched
+// statistics built directly on them, exactly as the package computed them
+// before the compiled incremental kernel.  The differential tests pin the
+// kernel to these within kernelTol.
+
+// Assignment1 maps a leaf (identified by its depth-first index and its
+// tuple alternative) to the degree of the single variable x it contributes:
+// 0 for the constant 1, 1 for x, or any small power.
+type Assignment1 func(i int, l types.Leaf) int
+
+// Eval1 computes the univariate generating function of the tree under the
+// given variable assignment, truncating all products at degree cap
+// (cap < 0 disables truncation).  Per Theorem 1 of the paper the
+// coefficient of x^i in the result is the total probability of the possible
+// worlds containing exactly i leaves of degree-1 assignment (more
+// generally, total marked degree i).
+func Eval1(t *andxor.Tree, assign Assignment1, cap int) Poly {
+	idx := 0
+	var walk func(n *andxor.Node) Poly
+	walk = func(n *andxor.Node) Poly {
+		switch n.Kind() {
+		case andxor.KindLeaf:
+			d := assign(idx, n.Leaf())
+			idx++
+			if cap >= 0 && d > cap {
+				return NewPoly(cap) // monomial truncated away entirely
+			}
+			m := NewPoly(d)
+			m[d] = 1
+			return m
+		case andxor.KindOr:
+			out := Poly{n.StopProb()}
+			for i, c := range n.Children() {
+				p := n.Probs()[i]
+				child := walk(c)
+				if p != 0 {
+					out = out.AddScaled(child, p)
+				}
+			}
+			return out
+		default: // KindAnd
+			out := One()
+			for _, c := range n.Children() {
+				out = out.MulTrunc(walk(c), cap)
+			}
+			return out
+		}
+	}
+	return walk(t.Root())
+}
+
+// Eval2 computes the bivariate generating function of the tree under the
+// given assignment, truncated at (xcap, ycap), by one recursive walk.
+func Eval2(t *andxor.Tree, assign Assignment2, xcap, ycap int) *Poly2 {
+	idx := 0
+	var walk func(n *andxor.Node) *Poly2
+	walk = func(n *andxor.Node) *Poly2 {
+		switch n.Kind() {
+		case andxor.KindLeaf:
+			a, b := assign(idx, n.Leaf())
+			idx++
+			return Monomial2(a, b, xcap, ycap)
+		case andxor.KindOr:
+			out := NewPoly2(xcap, ycap)
+			out.AddConst(n.StopProb())
+			for i, c := range n.Children() {
+				p := n.Probs()[i]
+				child := walk(c)
+				if p != 0 {
+					out.AddScaled(child, p)
+				}
+			}
+			return out
+		default: // KindAnd
+			out := One2(xcap, ycap)
+			for _, c := range n.Children() {
+				out = out.MulTrunc(walk(c))
+			}
+			return out
+		}
+	}
+	return walk(t.Root())
+}
+
+// AddScaled adds s*q into p in place, growing p as needed, and returns the
+// (possibly reallocated) result.
+func (p Poly) AddScaled(q Poly, s float64) Poly {
+	if len(q) > len(p) {
+		grown := NewPoly(len(q) - 1)
+		copy(grown, p)
+		p = grown
+	}
+	for i, c := range q {
+		p[i] += s * c
+	}
+	return p
+}
+
+// Sum returns the sum of coefficients, i.e. the polynomial evaluated at 1.
+// For a complete (untruncated) probability generating function this is 1.
+func (p Poly) Sum() float64 {
+	s := 0.0
+	for _, c := range p {
+		s += c
+	}
+	return s
+}
+
+// One2 returns the constant polynomial 1 with the given caps.
+func One2(xcap, ycap int) *Poly2 {
+	p := NewPoly2(xcap, ycap)
+	p.c[0] = 1
+	return p
+}
+
+// Monomial2 returns x^a y^b with the given caps; degrees beyond the caps
+// yield the zero polynomial.
+func Monomial2(a, b, xcap, ycap int) *Poly2 {
+	p := NewPoly2(xcap, ycap)
+	if a <= xcap && b <= ycap {
+		p.c[a*(ycap+1)+b] = 1
+	}
+	return p
+}
+
+// SetCoeff sets the coefficient of x^i y^j; out-of-cap indices panic.
+func (p *Poly2) SetCoeff(i, j int, v float64) {
+	p.c[i*(p.ycap+1)+j] = v
+}
+
+// AddScaled adds s*q into p in place.  Caps must match.
+func (p *Poly2) AddScaled(q *Poly2, s float64) {
+	if p.xcap != q.xcap || p.ycap != q.ycap {
+		panic("genfunc: Poly2 cap mismatch")
+	}
+	for i, c := range q.c {
+		p.c[i] += s * c
+	}
+}
+
+// AddConst adds the scalar s to the constant term.
+func (p *Poly2) AddConst(s float64) { p.c[0] += s }
+
+// MulTrunc returns p*q truncated at p's caps.  Caps must match.
+func (p *Poly2) MulTrunc(q *Poly2) *Poly2 {
+	if p.xcap != q.xcap || p.ycap != q.ycap {
+		panic("genfunc: Poly2 cap mismatch")
+	}
+	out := NewPoly2(p.xcap, p.ycap)
+	w := p.ycap + 1
+	for i := 0; i <= p.xcap; i++ {
+		for j := 0; j <= p.ycap; j++ {
+			a := p.c[i*w+j]
+			if a == 0 {
+				continue
+			}
+			for k := 0; i+k <= p.xcap; k++ {
+				row := q.c[k*w:]
+				orow := out.c[(i+k)*w:]
+				for l := 0; j+l <= p.ycap; l++ {
+					b := row[l]
+					if b != 0 {
+						orow[j+l] += a * b
+					}
+				}
+			}
+		}
+	}
+	return out
+}
+
+// Sum returns the polynomial evaluated at x=y=1.
+func (p *Poly2) Sum() float64 {
+	s := 0.0
+	for _, c := range p.c {
+		s += c
+	}
+	return s
+}
 
 // ranksLegacy is the pre-kernel Ranks: one full recursive bivariate
 // evaluation per leaf alternative.

@@ -16,19 +16,22 @@
 //
 // # Compiled incremental kernel
 //
-// Two evaluators implement Theorem 1.  Eval1/Eval2 are the legacy
-// recursive evaluators: one closure-driven tree walk per generating
-// function, allocating a fresh polynomial at every node.  They remain the
-// readable reference implementation (and the oracle for the differential
-// tests).  All batched statistics — Ranks, RanksParallel, Precedence,
-// PrecedenceMatrix, WorldSizeDist — instead run on the compiled kernel:
+// One evaluator implements Theorem 1: the compiled kernel.  Every
+// statistic — Eval (any bivariate assignment), SubsetSizeDist,
+// CoOccurrence, AllAbsent, Ranks, RanksParallel, Precedence,
+// PrecedenceMatrix, ExpectedRank, WorldSizeDist — runs on it.  The
+// recursive reference evaluators it replaced (one closure-driven tree
+// walk per generating function, allocating a fresh polynomial at every
+// node) live on only in legacy_test.go, as the oracles of the
+// differential tests.
 //
 //   - Compile flattens the tree into a postorder instruction array with
 //     binarized fan-ins (compile.go), so a leaf-to-root path has length
 //     O(depth·log fan-in) and evaluation is an index-addressed loop
 //     instead of pointer-chasing recursion.  Compilation itself is
 //     memoized per tree in a weak-keyed cache, so the package-level
-//     evaluators never recompile a live tree.
+//     evaluators compile a live tree once per mutation version
+//     (andxor.Tree.Version).
 //
 //   - An evaluation arena (arena.go) preallocates one truncated-polynomial
 //     slot per instruction and rewrites slots in place; steady-state
@@ -95,34 +98,6 @@ func (p Poly) Coeff(i int) float64 {
 	return p[i]
 }
 
-// Add returns p+q.
-func (p Poly) Add(q Poly) Poly {
-	n := len(p)
-	if len(q) > n {
-		n = len(q)
-	}
-	out := NewPoly(n - 1)
-	copy(out, p)
-	for i, c := range q {
-		out[i] += c
-	}
-	return out
-}
-
-// AddScaled adds s*q into p in place, growing p as needed, and returns the
-// (possibly reallocated) result.
-func (p Poly) AddScaled(q Poly, s float64) Poly {
-	if len(q) > len(p) {
-		grown := NewPoly(len(q) - 1)
-		copy(grown, p)
-		p = grown
-	}
-	for i, c := range q {
-		p[i] += s * c
-	}
-	return p
-}
-
 // MulTrunc returns p*q with all terms of degree greater than cap dropped.
 // cap < 0 means no truncation.
 func (p Poly) MulTrunc(q Poly, cap int) Poly {
@@ -149,16 +124,6 @@ func (p Poly) MulTrunc(q Poly, cap int) Poly {
 	return out
 }
 
-// Sum returns the sum of coefficients, i.e. the polynomial evaluated at 1.
-// For a complete (untruncated) probability generating function this is 1.
-func (p Poly) Sum() float64 {
-	s := 0.0
-	for _, c := range p {
-		s += c
-	}
-	return s
-}
-
 // Trim drops trailing zero coefficients (within eps) and returns the result.
 func (p Poly) Trim(eps float64) Poly {
 	n := len(p)
@@ -181,82 +146,10 @@ func NewPoly2(xcap, ycap int) *Poly2 {
 	return &Poly2{xcap: xcap, ycap: ycap, c: make([]float64, (xcap+1)*(ycap+1))}
 }
 
-// One2 returns the constant polynomial 1 with the given caps.
-func One2(xcap, ycap int) *Poly2 {
-	p := NewPoly2(xcap, ycap)
-	p.c[0] = 1
-	return p
-}
-
-// Monomial2 returns x^a y^b with the given caps; degrees beyond the caps
-// yield the zero polynomial.
-func Monomial2(a, b, xcap, ycap int) *Poly2 {
-	p := NewPoly2(xcap, ycap)
-	if a <= xcap && b <= ycap {
-		p.c[a*(ycap+1)+b] = 1
-	}
-	return p
-}
-
 // Coeff returns the coefficient of x^i y^j.
 func (p *Poly2) Coeff(i, j int) float64 {
 	if i < 0 || j < 0 || i > p.xcap || j > p.ycap {
 		return 0
 	}
 	return p.c[i*(p.ycap+1)+j]
-}
-
-// SetCoeff sets the coefficient of x^i y^j; out-of-cap indices panic.
-func (p *Poly2) SetCoeff(i, j int, v float64) {
-	p.c[i*(p.ycap+1)+j] = v
-}
-
-// AddScaled adds s*q into p in place.  Caps must match.
-func (p *Poly2) AddScaled(q *Poly2, s float64) {
-	if p.xcap != q.xcap || p.ycap != q.ycap {
-		panic("genfunc: Poly2 cap mismatch")
-	}
-	for i, c := range q.c {
-		p.c[i] += s * c
-	}
-}
-
-// AddConst adds the scalar s to the constant term.
-func (p *Poly2) AddConst(s float64) { p.c[0] += s }
-
-// MulTrunc returns p*q truncated at p's caps.  Caps must match.
-func (p *Poly2) MulTrunc(q *Poly2) *Poly2 {
-	if p.xcap != q.xcap || p.ycap != q.ycap {
-		panic("genfunc: Poly2 cap mismatch")
-	}
-	out := NewPoly2(p.xcap, p.ycap)
-	w := p.ycap + 1
-	for i := 0; i <= p.xcap; i++ {
-		for j := 0; j <= p.ycap; j++ {
-			a := p.c[i*w+j]
-			if a == 0 {
-				continue
-			}
-			for k := 0; i+k <= p.xcap; k++ {
-				row := q.c[k*w:]
-				orow := out.c[(i+k)*w:]
-				for l := 0; j+l <= p.ycap; l++ {
-					b := row[l]
-					if b != 0 {
-						orow[j+l] += a * b
-					}
-				}
-			}
-		}
-	}
-	return out
-}
-
-// Sum returns the polynomial evaluated at x=y=1.
-func (p *Poly2) Sum() float64 {
-	s := 0.0
-	for _, c := range p.c {
-		s += c
-	}
-	return s
 }

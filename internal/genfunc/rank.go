@@ -286,7 +286,7 @@ func (p *Program) ExpectedRank() (map[string]float64, error) {
 // otherwise.
 func (ar *arena) setDual(leaf int32, score float64, kid int32) {
 	if ar.p.leaves[leaf].Score > score && ar.p.keyID[leaf] != kid {
-		ar.setLeaf(leaf, dualX, 0)
+		ar.setLeaf(leaf, DualX, 0)
 	} else {
 		ar.setLeaf(leaf, 0, 0)
 	}
@@ -347,7 +347,7 @@ func (p *Program) expectedRankPresent(ar *arena, acc []float64) {
 // each flip re-evaluates only the key's leaf paths.
 func (p *Program) expectedRankAbsent(ar *arena, acc []float64) {
 	for i := range p.leaves {
-		ar.setLeaf(int32(i), dualX, 0)
+		ar.setLeaf(int32(i), DualX, 0)
 	}
 	ar.flush()
 	for kid := range p.keys {
@@ -357,7 +357,7 @@ func (p *Program) expectedRankAbsent(ar *arena, acc []float64) {
 		ar.flush()
 		acc[kid] += ar.rootCoeff(1, 0)
 		for _, b := range p.altsOfKey[kid] {
-			ar.setLeaf(b, dualX, 0)
+			ar.setLeaf(b, DualX, 0)
 		}
 	}
 }

@@ -12,32 +12,35 @@ import (
 
 // ExpectedJaccard returns E[d_J(W, pw)] for an arbitrary and/xor tree and
 // an arbitrary candidate world W, using the bivariate generating function
-// of Lemma 1: mark leaves in W with x and leaves outside W with y; the
-// coefficient c_{i,j} of x^i y^j is the probability that |pw ∩ W| = i and
-// |pw \ W| = j, in which case the Jaccard distance is
-// (|W| - i + j) / (|W| + j).
+// of Lemma 1.  Writing c_{i,j} for the probability that |pw ∩ W| = i and
+// |pw \ W| = j, the Jaccard distance of such a world is
+// (|W| - i + j) / (|W| + j), so only two moments per j are needed:
+// c_j = sum_i c_{i,j} and m_j = sum_i i·c_{i,j}.  Assigning (1+x) to the
+// leaves in W and y to the rest, at x-cap 1, yields exactly those as the
+// coefficients of y^j and x·y^j (dual numbers: the x part differentiates
+// at x=1), and
+//
+//	E[d_J] = sum_{j: |W|+j > 0} (c_j - m_j / (|W| + j)).
+//
+// The evaluation holds two coefficients per y-degree per instruction,
+// O(|tree|·n) memory, instead of the (|W|+1)·(n+1) grid of the plain
+// bivariate function.
 func ExpectedJaccard(t *andxor.Tree, w *types.World) float64 {
 	n := t.NumLeaves()
 	sizeW := w.Len()
-	f := genfunc.Eval2(t, func(i int, l types.Leaf) (int, int) {
+	f := genfunc.Eval(t, func(_ int, l types.Leaf) (int, int) {
 		if w.Contains(l) {
-			return 1, 0
+			return genfunc.DualX, 0
 		}
 		return 0, 1
-	}, sizeW, n)
+	}, 1, n)
 	e := 0.0
-	for i := 0; i <= sizeW; i++ {
-		for j := 0; j <= n; j++ {
-			c := f.Coeff(i, j)
-			if c == 0 {
-				continue
-			}
-			den := float64(sizeW + j)
-			if den == 0 {
-				continue // d_J(empty, empty) = 0
-			}
-			e += c * float64(sizeW-i+j) / den
+	for j := 0; j <= n; j++ {
+		den := float64(sizeW + j)
+		if den == 0 {
+			continue // d_J(empty, empty) = 0
 		}
+		e += f.Coeff(0, j) - f.Coeff(1, j)/den
 	}
 	return e
 }

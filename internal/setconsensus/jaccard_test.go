@@ -164,3 +164,111 @@ func TestMedianWorldJaccardBIDShapeCheck(t *testing.T) {
 		t.Fatal("non-BID tree must be rejected")
 	}
 }
+
+// jaccardGridOracle is ExpectedJaccard as computed before the dual-number
+// evaluation: the full bivariate generating function on the dense
+// (|W|+1)×(n+1) grid (leaves in W marked x, the rest y) by one recursive
+// walk, then the Lemma 1 sum over every cell.
+func jaccardGridOracle(t *andxor.Tree, w *types.World) float64 {
+	n, sizeW := t.NumLeaves(), w.Len()
+	newGrid := func() [][]float64 {
+		g := make([][]float64, sizeW+1)
+		for i := range g {
+			g[i] = make([]float64, n+1)
+		}
+		return g
+	}
+	var walk func(nd *andxor.Node) [][]float64
+	walk = func(nd *andxor.Node) [][]float64 {
+		out := newGrid()
+		switch nd.Kind() {
+		case andxor.KindLeaf:
+			if w.Contains(nd.Leaf()) {
+				out[1][0] = 1
+			} else {
+				out[0][1] = 1
+			}
+		case andxor.KindOr:
+			out[0][0] = nd.StopProb()
+			for ci, c := range nd.Children() {
+				g := walk(c)
+				if p := nd.Probs()[ci]; p != 0 {
+					for i := range out {
+						for j := range out[i] {
+							out[i][j] += p * g[i][j]
+						}
+					}
+				}
+			}
+		default: // KindAnd
+			out[0][0] = 1
+			for _, c := range nd.Children() {
+				g := walk(c)
+				prod := newGrid()
+				for i, row := range out {
+					for j, a := range row {
+						if a == 0 {
+							continue
+						}
+						for k := 0; i+k <= sizeW; k++ {
+							for l := 0; j+l <= n; l++ {
+								prod[i+k][j+l] += a * g[k][l]
+							}
+						}
+					}
+				}
+				out = prod
+			}
+		}
+		return out
+	}
+	f := walk(t.Root())
+	e := 0.0
+	for i := 0; i <= sizeW; i++ {
+		for j := 0; j <= n; j++ {
+			den := float64(sizeW + j)
+			if f[i][j] == 0 || den == 0 {
+				continue // d_J(empty, empty) = 0
+			}
+			e += f[i][j] * float64(sizeW-i+j) / den
+		}
+	}
+	return e
+}
+
+// TestExpectedJaccardDualMatchesGridOracle pins the dual-number
+// ExpectedJaccard to the dense-grid computation it replaced, on BID,
+// tuple-independent and nested trees, for candidate worlds of every size
+// from the empty world (the den == 0 cell) to one alternative of every key.
+func TestExpectedJaccardDualMatchesGridOracle(t *testing.T) {
+	rng := rand.New(rand.NewSource(73))
+	for trial := 0; trial < 12; trial++ {
+		var tr *andxor.Tree
+		switch trial % 3 {
+		case 0:
+			tr = workload.BID(rng, 2+rng.Intn(6), 3)
+		case 1:
+			tr = workload.Independent(rng, 2+rng.Intn(8))
+		default:
+			tr = workload.Nested(rng, 2+rng.Intn(5), 2)
+		}
+		// One random alternative per key, added in a random key order.
+		byKey := map[string][]types.Leaf{}
+		for _, l := range tr.LeafAlternatives() {
+			byKey[l.Key] = append(byKey[l.Key], l)
+		}
+		keys := append([]string(nil), tr.Keys()...)
+		rng.Shuffle(len(keys), func(i, j int) { keys[i], keys[j] = keys[j], keys[i] })
+		w := &types.World{}
+		for m := 0; m <= len(keys); m++ {
+			if m > 0 {
+				alts := byKey[keys[m-1]]
+				w.Add(alts[rng.Intn(len(alts))])
+			}
+			got, want := ExpectedJaccard(tr, w), jaccardGridOracle(tr, w)
+			if math.Abs(got-want) > 1e-12 {
+				t.Fatalf("trial %d |W|=%d: dual %.17g, grid oracle %.17g (tree %s)", trial, m, got, want, tr)
+			}
+		}
+	}
+}
