@@ -75,7 +75,15 @@
 //	_, _, _ = resp, batch, http.ListenAndServe(":8080", eng.Handler())
 //
 // The same engine serves HTTP/JSON via Engine.Handler; `consensusctl
-// serve` wraps it as a ready-made server.
+// serve` wraps it as a ready-made server.  A POST /v1/query body is the
+// flat Request JSON (POST /v1/batch wraps a list of them as
+// {"requests": [...]}), every knob a top-level field:
+//
+//	{"tree": "db", "op": "topk-mean", "k": 2, "metric": "footrule"}
+//
+// Decoding is strict: a field the Request schema does not define, at any
+// depth, is rejected with status 400 and code bad_request naming the
+// field, so a misspelled knob never silently falls back to its default.
 //
 // # Query families served by the engine
 //

@@ -18,18 +18,12 @@ type (
 	Engine = engine.Engine
 	// EngineOptions configures NewEngine.
 	EngineOptions = engine.Options
-	// EngineStats is a snapshot of engine activity.
-	EngineStats = engine.Stats
 	// Request is one typed consensus query against a registered tree.
 	Request = engine.Request
 	// Response is the answer to one Request.
 	Response = engine.Response
 	// Op selects the query kind of a Request.
 	Op = engine.Op
-	// ApproxInfo describes how an approx/auto request was served: the
-	// backend, and for sampled answers the confidence radius, sample
-	// count and effective error budget.
-	ApproxInfo = engine.ApproxInfo
 	// SPJRequest is the payload of an OpSPJEval request: a boolean
 	// conjunctive query plus its tuple-independent probabilistic tables,
 	// posted inline.
@@ -51,18 +45,6 @@ type (
 	// error-code table in the package documentation for the HTTP status
 	// mapping and which codes mark retryable transient conditions.
 	ErrorCode = engine.Code
-	// EngineCore is the registry half of the serving API (tree ownership,
-	// naming, stats); EngineCompute is the dispatch half (executing
-	// validated requests).  A single-process Engine implements both; the
-	// distributed coordinator implements EngineCore authoritatively and
-	// forwards EngineCompute to its workers.
-	EngineCore = engine.Core
-	// EngineCompute is the dispatch half of the serving API.
-	EngineCompute = engine.Compute
-	// EngineService is a full consensus-serving endpoint: EngineCore and
-	// EngineCompute together.  NewEngineHandler serves any EngineService
-	// over HTTP/JSON with identical wire behavior.
-	EngineService = engine.Service
 	// Fence tracks the highest coordinator fencing epoch a worker has
 	// observed (monotonic max); NewFencedHandler enforces it so a
 	// superseded coordinator cannot mutate the worker's shards.
@@ -73,30 +55,17 @@ type (
 // workers and the default cache size.
 func NewEngine(opts EngineOptions) *Engine { return engine.New(opts) }
 
-// NewEngineHandler serves the engine's HTTP/JSON surface over any
-// EngineService implementation — Engine.Handler is this applied to the
-// single-process engine.
-func NewEngineHandler(s EngineService) http.Handler { return engine.NewHandler(s) }
-
 // NewFencedHandler guards a worker's HTTP surface with a fencing check:
-// requests stamped (via the FencingHeader header) with an epoch below
-// the highest one f has seen are rejected with CodeFenced, unstamped
-// requests pass untouched.  Wrap a worker's engine handler with this so
-// a restarted coordinator's bumped epoch immediately invalidates its
-// predecessor.
+// requests stamped with an epoch below the highest one f has seen are
+// rejected with CodeFenced, unstamped requests pass untouched.  Wrap a
+// worker's engine handler with this so a restarted coordinator's bumped
+// epoch immediately invalidates its predecessor.
 func NewFencedHandler(inner http.Handler, f *Fence) http.Handler {
 	return engine.FencedHandler(inner, f)
 }
 
-// FencingHeader is the HTTP request header carrying a coordinator's
-// fencing epoch on worker RPCs.
-const FencingHeader = engine.FencingHeader
-
-// ErrorCodes returns every error code the engine can emit, in the order
-// the package documentation's error-code table lists them.
-func ErrorCodes() []ErrorCode { return engine.Codes() }
-
-// Typed error codes carried in Response.Code by failed requests.
+// Typed error codes carried in Response.Code by failed requests, in the
+// order of the package documentation's error-code table.
 const (
 	CodeBadRequest   = engine.CodeBadRequest
 	CodeUnknownTree  = engine.CodeUnknownTree
@@ -133,26 +102,6 @@ const (
 	OpSPJEval            = engine.OpSPJEval
 	OpMutate             = engine.OpMutate
 	OpCondition          = engine.OpCondition
-)
-
-// Aggregation rules accepted in Request.Method for OpRankingConsensus and
-// matrix sources accepted in Request.GroupBy for the aggregate ops.
-const (
-	RankMethodFootrule = engine.MethodFootrule
-	RankMethodKemeny   = engine.MethodKemeny
-	RankMethodBorda    = engine.MethodBorda
-	GroupByRank        = engine.GroupByRank
-	GroupByLabel       = engine.GroupByLabel
-)
-
-// Metric names accepted in Request.Metric for OpTopKMean.  The engine
-// also accepts the Metric.String() spellings (e.g. "symmetric-difference"),
-// so both vocabularies work.
-const (
-	EngineMetricSymDiff      = engine.MetricSymDiff
-	EngineMetricIntersection = engine.MetricIntersection
-	EngineMetricFootrule     = engine.MetricFootrule
-	EngineMetricKendall      = engine.MetricKendall
 )
 
 // Evaluation modes accepted in Request.Mode: the exact generating-function

@@ -617,7 +617,8 @@ func (c *Coordinator) Query(req engine.Request) engine.Response {
 	return c.QueryContext(context.Background(), req)
 }
 
-// QueryContext routes one request: admission control first, then the
+// QueryContext routes one request: admission control first, then
+// structural validation (Request.Validate, as the engine does), then the
 // write path (mutations fan out to every replica, serialized per tree)
 // or the read path (per-attempt timeouts, bounded retries on retryable
 // codes, one tail-hedged duplicate).
@@ -629,6 +630,12 @@ func (c *Coordinator) QueryContext(ctx context.Context, req engine.Request) engi
 	}
 	defer c.adm.Release(cost)
 
+	if err := req.Validate(); err != nil {
+		// Refuse structurally invalid requests before routing, in the
+		// engine's order: a bad request on an unknown tree is still a
+		// bad_request, and an invalid mutation never fans out.
+		return failResponse(req, engine.CodeBadRequest, "%s", err)
+	}
 	if req.Op == engine.OpSPJEval {
 		// SPJ carries its query and tables inline: stateless, any worker.
 		return c.readAnywhere(ctx, req)

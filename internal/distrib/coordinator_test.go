@@ -186,8 +186,18 @@ func TestCoordinatorMatchesSingleProcess(t *testing.T) {
 	bothGet("/v1/trees/ghost", "missing-tree download")
 	both(post, "/v1/query", `{"tree":"ghost","op":"size-dist"}`, "unknown tree query")
 
-	// The v1 envelope rides through the coordinator unchanged too.
-	both(post, "/v1/query", `{"v":1,"tree":"indep","op":"topk-mean","topk":{"k":3}}`, "v1 envelope")
+	// Structurally invalid batch entries are bad_request before any tree
+	// lookup on both fronts, whether or not the tree exists.
+	both(post, "/v1/batch", `{"requests":[{"tree":"ghost","op":"topk-mean","k":0}]}`, "invalid k on unknown tree")
+	both(post, "/v1/batch", `{"requests":[{"tree":"ghost","op":"mutate"},{"tree":"indep","op":"mutate"}]}`, "empty mutations")
+
+	// A field outside the Request schema is the same 400 through both
+	// fronts.
+	unknownField := `{"v":1,"tree":"indep","op":"topk-mean","topk":{"k":3}}`
+	if s, b := post(t, hc, coordSrv.URL+"/v1/query", unknownField); s != http.StatusBadRequest {
+		t.Errorf("unknown field: coordinator status %d (%s), want 400", s, b)
+	}
+	both(post, "/v1/query", unknownField, "unknown field")
 }
 
 // TestPlacementSpread pins the consistent-hash placement: with replica

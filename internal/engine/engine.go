@@ -397,7 +397,7 @@ feed:
 // exec runs one request to completion; the caller holds a pool slot.
 func (e *Engine) exec(ctx context.Context, req Request) Response {
 	resp := Response{Tree: req.Tree, Op: req.Op}
-	if err := req.validate(); err != nil {
+	if err := req.Validate(); err != nil {
 		// Structural invalidity is always the client's bug, whatever shape
 		// the underlying message takes.
 		return errorResponse(req, errf(CodeBadRequest, "%s", err.Error()))
@@ -651,7 +651,7 @@ func (r worldResult) worldCopy() []types.Leaf {
 // (tree, metric, k).  The Kendall consensus is the footrule optimum
 // (Section 5.5's factor-2 equivalence), so both metrics share one entry.
 func (e *Engine) topkMean(te *treeEntry, req Request) (topkResult, error) {
-	metric, _ := normalizeMetric(req.Metric) // validate() already vetted it
+	metric, _ := normalizeMetric(req.Metric) // Validate() already vetted it
 	if metric == MetricKendall {
 		metric = MetricFootrule
 	}

@@ -170,7 +170,7 @@ type aggResult struct {
 // distribution (the mean answer itself needs only linearity of
 // expectation and is exact under any correlation).
 func (e *Engine) aggregateAnswer(resp *Response, te *treeEntry, req Request) error {
-	source, _ := normalizeGroupBy(req.GroupBy) // validate() already vetted it
+	source, _ := normalizeGroupBy(req.GroupBy) // Validate() already vetted it
 	k := req.K
 	if k <= 0 {
 		k = len(te.tree.Keys())
@@ -313,7 +313,7 @@ var errRankingEnumeration = errors.New("tree is too large to enumerate for an ex
 // probability.  Expected is the achieved expected distance, normalized by
 // the metric's maximum so exact and sampled answers share a scale.
 func (e *Engine) rankingConsensus(resp *Response, te *treeEntry, req Request) error {
-	method, _ := normalizeMethod(req.Method) // validate() already vetted it
+	method, _ := normalizeMethod(req.Method) // Validate() already vetted it
 	if method == MethodKemeny && len(te.tree.Keys()) > rankagg.MaxKemenyExact {
 		// Refuse before enumerating the world distribution: no sample or
 		// world set makes the exact DP feasible.

@@ -562,7 +562,7 @@ func TestSPJEvalBoundsUnsafeLineageEnumeration(t *testing.T) {
 		},
 		Tables: map[string][]SPJRow{"R": rows},
 	}}
-	if err := req.validate(); err != nil {
+	if err := req.Validate(); err != nil {
 		t.Fatalf("structurally valid request rejected: %v", err)
 	}
 	resp := New(Options{}).Query(req)
@@ -646,7 +646,7 @@ func TestFamilyRequestValidation(t *testing.T) {
 			Tables: map[string][]SPJRow{"R": {{Vals: []string{"a"}, Prob: 1.5}}}}},
 		"missing tree": {Op: OpClusteringMean},
 	} {
-		if err := req.validate(); err == nil {
+		if err := req.Validate(); err == nil {
 			t.Errorf("%s: validate accepted %+v", name, req)
 		}
 	}

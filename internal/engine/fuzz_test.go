@@ -68,19 +68,20 @@ func FuzzHandlerQuery(f *testing.F) {
 		`{"tree":"db","op":"condition","evidences":[{"kind":"choose","key":"t1","score":1}]}`,
 		`{"tree":"db","op":"condition","evidence":{"kind":"present","key":"t1"},"evidences":[{"kind":"absent","key":"t2"}]}`,
 		`{"tree":"db","op":"condition","evidences":[{"kind":"present"}]}`,
-		// v1 envelope payloads: well-formed typed sub-structs, sub-structs
-		// without the version, unknown versions, and conflicting groups.
+		// Fields outside the Request schema, top-level and nested (former
+		// versioned-envelope groups, misspelled knobs): strict decoding
+		// refuses each with a 400.
 		`{"v":1,"tree":"db","op":"topk-mean","topk":{"k":3,"metric":"footrule"}}`,
-		`{"v":1,"tree":"db","op":"rank-dist","rank":{"k":2,"keys":["t1"]}}`,
-		`{"v":1,"tree":"db","op":"aggregate-mean","aggregate":{"group_by":"rank","k":2}}`,
-		`{"v":1,"tree":"db","op":"ranking-consensus","ranking":{"method":"borda"}}`,
-		`{"v":1,"tree":"db","op":"clustering-mean","clustering":{"restarts":5,"seed":3}}`,
-		`{"v":1,"tree":"db","op":"membership","membership":{"keys":["t1"]}}`,
-		`{"tree":"db","op":"topk-mean","topk":{"k":3}}`,
-		`{"v":2,"tree":"db","op":"size-dist"}`,
-		`{"v":-3,"tree":"db","op":"size-dist"}`,
-		`{"v":1,"tree":"db","op":"topk-mean","topk":{"k":3},"rank":{"k":9}}`,
-		`{"v":1,"tree":"db","op":"topk-mean","k":9,"topk":{"k":3}}`,
+		`{"tree":"db","op":"rank-dist","rank":{"k":2,"keys":["t1"]}}`,
+		`{"tree":"db","op":"aggregate-mean","aggregate":{"group_by":"rank","k":2}}`,
+		`{"tree":"db","op":"ranking-consensus","ranking":{"method":"borda"}}`,
+		`{"tree":"db","op":"clustering-mean","clustering":{"restarts":5,"seed":3}}`,
+		`{"tree":"db","op":"membership","membership":{"keys":["t1"]}}`,
+		`{"tree":"db","op":"topk-mean","k":3,"metirc":"footrule"}`,
+		`{"tree":"db","op":"size-dist","extra":null}`,
+		`{"tree":"db","op":"mutate","mutation":{"kind":"set-prob","key":"t1","score":1,"prob":0.5,"renormalise":true}}`,
+		`{"tree":"db","op":"condition","evidences":[{"kind":"present","key":"t1","label":"x"}]}`,
+		`{"op":"spj-eval","spj":{"query":[],"tables":{},"limit":3}}`,
 	} {
 		f.Add([]byte(seed))
 	}

@@ -29,9 +29,11 @@ const (
 //	GET    /v1/stats          service statistics
 //	GET    /healthz           liveness probe
 //
-// Structurally invalid single queries (unknown op or mode, k out of
-// range, negative epsilon, delta outside [0, 1)) are rejected with status
-// 400, like malformed JSON.  Semantic failures (unknown trees or tuple
+// Query and batch bodies are the flat Request JSON, decoded strictly: a
+// field the schema does not define is rejected with status 400, like
+// malformed JSON.  Structurally invalid single queries (unknown op or
+// mode, k out of range, negative epsilon, delta outside [0, 1)) are
+// rejected with status 400 too.  Semantic failures (unknown trees or tuple
 // keys, infeasible budgets, computation errors) are reported in
 // Response.Error — with their typed Response.Code — at status 200; other
 // non-2xx statuses are reserved for transport-level problems (unknown
@@ -100,11 +102,11 @@ func NewHandler(s Service) http.Handler {
 
 	mux.HandleFunc("POST /v1/query", func(w http.ResponseWriter, r *http.Request) {
 		var req Request
-		if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxQueryBytes)).Decode(&req); err != nil {
+		if err := decodeStrict(w, r, &req); err != nil {
 			httpError(w, CodeBadRequest, err)
 			return
 		}
-		if err := req.validate(); err != nil {
+		if err := req.Validate(); err != nil {
 			// A structurally bad request (huge k, negative epsilon, bad
 			// mode) is the client's bug: reject it at the transport level
 			// instead of wrapping it in a 200 response.
@@ -118,7 +120,7 @@ func NewHandler(s Service) http.Handler {
 		var batch struct {
 			Requests []Request `json:"requests"`
 		}
-		if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxQueryBytes)).Decode(&batch); err != nil {
+		if err := decodeStrict(w, r, &batch); err != nil {
 			httpError(w, CodeBadRequest, err)
 			return
 		}
@@ -131,6 +133,15 @@ func NewHandler(s Service) http.Handler {
 // Handler exposes the engine over HTTP/JSON; see NewHandler for the
 // endpoint list.
 func (e *Engine) Handler() http.Handler { return NewHandler(e) }
+
+// decodeStrict decodes a query or batch body, refusing any field the
+// Request schema does not define (at any depth), so a misspelled knob is
+// a 400 naming the field rather than a silently ignored default.
+func decodeStrict(w http.ResponseWriter, r *http.Request, v any) error {
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxQueryBytes))
+	dec.DisallowUnknownFields()
+	return dec.Decode(v)
+}
 
 func writeJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")

@@ -174,6 +174,92 @@ func TestHTTPBadInputs(t *testing.T) {
 	}
 }
 
+// legacyPayloads is a representative sample of the flat request form,
+// one per family knob.
+var legacyPayloads = []string{
+	`{"tree":"db","op":"topk-mean","k":3,"metric":"footrule"}`,
+	`{"tree":"db","op":"topk-median","k":2}`,
+	`{"tree":"db","op":"rank-dist","k":4,"keys":["t1","t2"]}`,
+	`{"tree":"db","op":"aggregate-mean","group_by":"rank","k":2}`,
+	`{"tree":"db","op":"aggregate-median","group_by":"label"}`,
+	`{"tree":"db","op":"ranking-consensus","method":"borda"}`,
+	`{"tree":"db","op":"clustering-mean","restarts":7,"seed":3}`,
+	`{"tree":"db","op":"membership","keys":["t1"]}`,
+	`{"tree":"db","op":"size-dist","mode":"auto","epsilon":0.1,"delta":0.01}`,
+	`{"tree":"db","op":"mutate","mutation":{"kind":"set-prob","key":"t1","score":1,"prob":0.5}}`,
+	`{"op":"spj-eval","spj":{"query":[{"relation":"R","args":[{"var":"x"}]}],"tables":{"R":[{"vals":["a"],"prob":0.5}]}}}`,
+}
+
+// TestHandlerRejectsUnknownFields pins strict decoding on both query
+// endpoints: a field outside the Request schema, at any depth, is a 400
+// bad_request naming the field — so a versioned-envelope payload or a
+// misspelled knob is refused instead of silently answered with the
+// defaults — while every flat payload is still accepted.
+func TestHandlerRejectsUnknownFields(t *testing.T) {
+	e := New(Options{})
+	if err := e.Register("db", workload.Independent(rand.New(rand.NewSource(7)), 6)); err != nil {
+		t.Fatal(err)
+	}
+	srv := httptest.NewServer(e.Handler())
+	defer srv.Close()
+
+	post := func(path, body string) (int, []byte) {
+		t.Helper()
+		resp, err := srv.Client().Post(srv.URL+path, "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		b, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return resp.StatusCode, b
+	}
+	// Each request body goes to /v1/query alone and to /v1/batch as a
+	// one-entry batch.
+	bodies := func(payload string) map[string]string {
+		return map[string]string{
+			"/v1/query": payload,
+			"/v1/batch": `{"requests":[` + payload + `]}`,
+		}
+	}
+
+	for _, tc := range []struct{ payload, field string }{
+		{`{"v":1,"tree":"db","op":"topk-mean","topk":{"k":3,"metric":"footrule"}}`, "v"},
+		{`{"v":1,"tree":"db","op":"rank-dist","rank":{"k":2,"keys":["t1"]}}`, "v"},
+		{`{"tree":"db","op":"aggregate-mean","aggregate":{"group_by":"rank","k":2}}`, "aggregate"},
+		{`{"tree":"db","op":"ranking-consensus","ranking":{"method":"borda"}}`, "ranking"},
+		{`{"tree":"db","op":"clustering-mean","clustering":{"restarts":5,"seed":3}}`, "clustering"},
+		{`{"tree":"db","op":"membership","membership":{"keys":["t1"]}}`, "membership"},
+		{`{"tree":"db","op":"topk-mean","k":3,"topk":{"k":3}}`, "topk"},
+		{`{"tree":"db","op":"rank-dist","k":2,"rank":{"k":2}}`, "rank"},
+		{`{"tree":"db","op":"size-dist","v":2}`, "v"},
+		{`{"tree":"db","op":"topk-mean","k":3,"metirc":"footrule"}`, "metirc"},
+		{`{"tree":"db","op":"mutate","mutation":{"kind":"set-prob","key":"t1","score":1,"prob":0.5,"renormalise":true}}`, "renormalise"},
+	} {
+		for path, body := range bodies(tc.payload) {
+			status, raw := post(path, body)
+			var errBody map[string]string
+			if err := json.Unmarshal(raw, &errBody); err != nil {
+				t.Fatalf("POST %s %s: undecodable body %s", path, body, raw)
+			}
+			if status != http.StatusBadRequest || errBody["code"] != string(CodeBadRequest) ||
+				!strings.Contains(errBody["error"], fmt.Sprintf("unknown field %q", tc.field)) {
+				t.Errorf("POST %s %s: status %d body %s, want 400 bad_request naming %q", path, body, status, raw, tc.field)
+			}
+		}
+	}
+
+	for _, payload := range legacyPayloads {
+		for path, body := range bodies(payload) {
+			if status, raw := post(path, body); status != http.StatusOK {
+				t.Errorf("POST %s %s: status %d (%s), want 200", path, body, status, raw)
+			}
+		}
+	}
+}
+
 func TestHTTPConcurrentQueries(t *testing.T) {
 	e := New(Options{})
 	srv := httptest.NewServer(e.Handler())

@@ -404,8 +404,10 @@ func ptr(v float64) *float64 { return &v }
 // Ok reports whether the response carries an answer rather than an error.
 func (r *Response) Ok() bool { return r.Error == "" }
 
-// validate rejects structurally bad requests before any tree lookup.
-func (r *Request) validate() error {
+// Validate rejects structurally bad requests.  The engine, the HTTP
+// handler and the cluster coordinator all call it before any tree lookup,
+// so an invalid request fails the same way on every front.
+func (r *Request) Validate() error {
 	if r.Tree == "" && r.Op != OpSPJEval {
 		return fmt.Errorf("engine: request is missing the tree name")
 	}

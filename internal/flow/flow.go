@@ -37,15 +37,6 @@ type inputEdge struct {
 // NewGraph returns an empty network on n nodes.
 func NewGraph(n int) *Graph { return &Graph{n: n} }
 
-// AddNode adds one node and returns its index.
-func (g *Graph) AddNode() int {
-	g.n++
-	return g.n - 1
-}
-
-// NumNodes returns the current node count.
-func (g *Graph) NumNodes() int { return g.n }
-
 // AddEdge adds a directed edge with flow bounds low <= f <= cap and the
 // given per-unit cost, returning an edge handle for Flow lookups.
 func (g *Graph) AddEdge(from, to, low, cap int, cost float64) (int, error) {

@@ -3,7 +3,6 @@ package topk
 import (
 	"math"
 	"math/rand"
-	"sort"
 
 	"consensus/internal/andxor"
 	"consensus/internal/genfunc"
@@ -125,16 +124,4 @@ func ExpectedKendall(worlds []andxor.WeightedWorld, tau List, k int, p float64) 
 		e += ww.Prob * Kendall(tau, FromWorld(ww.World, k), p)
 	}
 	return e
-}
-
-// sortKeysByScoreDesc is a test helper exposed for experiments: it orders
-// keys by the maximum alternative score in the tree.
-func sortKeysByScoreDesc(t *andxor.Tree, keys []string) {
-	maxScore := map[string]float64{}
-	for _, l := range t.LeafAlternatives() {
-		if s, ok := maxScore[l.Key]; !ok || l.Score > s {
-			maxScore[l.Key] = l.Score
-		}
-	}
-	sort.SliceStable(keys, func(i, j int) bool { return maxScore[keys[i]] > maxScore[keys[j]] })
 }
