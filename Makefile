@@ -94,15 +94,19 @@ cover:
 	awk "BEGIN { exit !($$total >= $(COVER_FLOOR)) }" || { \
 		echo "coverage $$total% is below the $(COVER_FLOOR)% floor"; exit 1; }
 
-# Fuzz smoke: short randomized runs of the HTTP request-decoding target
-# (which seeds both the legacy flat form and the v1 envelope), the
-# coordinator's cluster-admin endpoints, and the write-ahead-log replay
-# path (committed seeds cover torn tails and corrupted checksums), enough
-# to catch decode/validation/recovery panics without burning CI time.
+# Fuzz smoke: short randomized runs of the HTTP request-decoding target,
+# the coordinator's cluster-admin endpoints, the write-ahead-log replay
+# path (committed seeds cover torn tails and corrupted checksums), and
+# the two kernel differentials — a patched program against a cold
+# compile of the mutated tree, and the compiled kernel against the
+# reference evaluators — enough to catch decode/validation/recovery
+# panics and stale mutation state without burning CI time.
 fuzz:
 	$(GO) test ./internal/engine -run XXX -fuzz FuzzHandlerQuery -fuzztime 10s
 	$(GO) test ./internal/distrib -run XXX -fuzz FuzzClusterAdmin -fuzztime 10s
 	$(GO) test ./internal/distrib -run XXX -fuzz FuzzWALReplay -fuzztime 10s
+	$(GO) test ./internal/genfunc -run XXX -fuzz FuzzApplyDelta -fuzztime 10s
+	$(GO) test ./internal/genfunc -run XXX -fuzz FuzzCompiledKernel -fuzztime 10s
 
 # Distributed-tier smoke: one durable coordinator over three loopback
 # workers cross-checked byte-for-byte against a single-process server on

@@ -172,6 +172,8 @@
 // resident program) or "recompiled" (structural changes).  Mutations are
 // serialized per tree and atomic with respect to queries: a concurrent
 // query sees either the complete old state or the complete new state.
+// The response leaves before the cache repair below finishes; queries
+// on the tree wait for the repair, exactly as if the writer had waited.
 //
 // A mutation bumps the tree's epoch, retargeting every cache key; what
 // happens to the previously cached intermediates depends on the delta:
@@ -298,7 +300,9 @@
 // The coordinator places each tree on a consistent-hash ring (replica
 // fan-out 2 by default, clamped to the cluster size), keeps the
 // authoritative serialized snapshot of every tree, fans mutations out to
-// all replicas serialized per tree, and serves reads with per-attempt
+// all replicas at once (serialized per tree) while applying the same
+// updates to its own copy, which becomes the new snapshot without a
+// download from a worker, and serves reads with per-attempt
 // timeouts, bounded retries on the retryable codes above, and one
 // tail-hedged duplicate attempt when the first replica is slow
 // (-attempt-timeout, -retries, -hedge).  Admission control prices each
@@ -322,7 +326,7 @@
 //
 // `consensusctl coordinator -data-dir /var/lib/consensus` makes the
 // registry durable: every registry-changing event (register/unregister,
-// the authoritative snapshot refresh after each acknowledged mutation,
+// the authoritative snapshot after each acknowledged mutation,
 // membership changes) is written ahead to a length-prefixed,
 // CRC-checksummed log of rotating segments and fsynced before the
 // change is acknowledged, with periodic checkpoint compaction (sealed

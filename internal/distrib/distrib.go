@@ -7,9 +7,10 @@
 // replica fan-out >= 2) and keeps an authoritative serialized snapshot
 // of every registered tree.  Reads route to one replica with per-attempt
 // timeouts, bounded retries on retryable error codes and one tail-hedged
-// duplicate; mutations fan out to every replica serialized per tree and
-// refresh the snapshot from the first replica that applied them, so a
-// crashed worker is later restored bit-identically.  Admission control
+// duplicate; mutations fan out to every replica at once, serialized per
+// tree, while the coordinator applies the same updates to its own parsed
+// copy and serializes it as the new snapshot, so a crashed worker is
+// later restored bit-identically.  Admission control
 // prices every request by its op's cost class (the doc.go op table's
 // complexity column quantized to four weights) and sheds with
 // CodeOverloaded instead of queueing.

@@ -30,11 +30,7 @@ func (c *Coordinator) restoreShards(st durableState) {
 		sh := &shard{name: name}
 		sh.replicas = c.ring.replicas(name, c.replication)
 		sh.epoch = ds.Epoch
-		if t, err := andxor.UnmarshalTree(ds.Tree); err == nil {
-			sh.keys = len(t.Keys())
-			sh.leaves = t.NumLeaves()
-		}
-		sh.setSnapshot(ds.Tree, ds.Epoch)
+		sh.setSnapshot(ds.Tree, nil, ds.Epoch)
 		c.shards[name] = sh
 	}
 }
@@ -116,8 +112,7 @@ func (c *Coordinator) reconcile(ctx context.Context) {
 // seeds its ring replicas.
 func (c *Coordinator) adoptShard(ctx context.Context, name string, snap []byte) {
 	snap = bytes.TrimSpace(snap)
-	t, err := andxor.UnmarshalTree(snap)
-	if err != nil {
+	if _, err := andxor.UnmarshalTree(snap); err != nil {
 		return // not a tree this build understands; leave it alone
 	}
 	c.mu.Lock()
@@ -127,9 +122,7 @@ func (c *Coordinator) adoptShard(ctx context.Context, name string, snap []byte) 
 	}
 	sh := &shard{name: name}
 	sh.replicas = c.ring.replicas(name, c.replication)
-	sh.keys = len(t.Keys())
-	sh.leaves = t.NumLeaves()
-	sh.setSnapshot(snap, 0)
+	sh.setSnapshot(snap, nil, 0)
 	c.shards[name] = sh
 	c.mu.Unlock()
 	_ = c.wal.append(walRecord{Kind: recRegister, Name: name, Tree: snap})

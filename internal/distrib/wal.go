@@ -1,8 +1,8 @@
 package distrib
 
 // Write-ahead log.  A coordinator started with a data directory records
-// every registry-changing event — tree register/unregister, the snapshot
-// refresh after each acknowledged mutation, membership joins/leaves,
+// every registry-changing event — tree register/unregister, the new
+// snapshot after each acknowledged mutation, membership joins/leaves,
 // fencing-epoch bumps and leadership-lease renewals — as
 // length-prefixed, CRC-checksummed records appended (and fsynced) to a
 // rotating sequence of segment files before the change is acknowledged.

@@ -94,6 +94,10 @@ type Engine struct {
 	// carry-over of rank/size intermediates).  Test/bench knob only: the
 	// repair-vs-purge benchmark needs the old behavior as its baseline.
 	repairDisabled bool
+	// repairStart, when set, runs at the start of every cache repair that
+	// a mutation hands off after its reply.  Test hook only: it holds a
+	// repair in flight so tests can observe the hand-off.
+	repairStart func()
 }
 
 // treeEntry pins a registered tree together with its registration
@@ -104,7 +108,8 @@ type treeEntry struct {
 	// rw serializes mutations against queries: every query holds the read
 	// lock across its whole dispatch (so it never observes a half-applied
 	// mutation — no torn tree, program or epoch state), and mutations hold
-	// the write lock across tree patch, program patch and epoch bump.
+	// the write lock across tree patch, program patch and epoch bump, and
+	// on until the cache repair they hand off after the reply ends.
 	// Go's RWMutex blocks new readers once a writer waits, so mutations
 	// cannot starve under a steady query stream.
 	rw   sync.RWMutex
@@ -331,14 +336,40 @@ func (e *Engine) QueryContext(ctx context.Context, req Request) Response {
 			"engine: overloaded, shedding %s (in-flight cost %d of %d)",
 			req.Op, e.adm.InFlight(), e.adm.capacity))
 	}
-	defer e.adm.Release(cost)
 	select {
 	case e.sem <- struct{}{}:
 	case <-ctx.Done():
+		e.adm.Release(cost)
 		return errorResponse(req, errf(CodeOf(ctx.Err()), "engine: %v", ctx.Err()))
 	}
-	defer func() { <-e.sem }()
-	return e.exec(ctx, req)
+	// A mutation may answer before its cache repair ends; the repair then
+	// keeps the pool slot and the admission cost until it is done.
+	handedOff := false
+	defer func() {
+		if !handedOff {
+			e.release(cost)
+		}
+	}()
+	resp, repair := e.exec(ctx, req)
+	if repair != nil {
+		handedOff = true
+		go e.repairThenRelease(repair, cost)
+	}
+	return resp
+}
+
+// release frees what QueryContext took for one request: its admission
+// cost and its pool slot.
+func (e *Engine) release(cost int) {
+	e.adm.Release(cost)
+	<-e.sem
+}
+
+// repairThenRelease runs a mutation's handed-off cache repair, then
+// frees the admission cost and pool slot the mutation took.
+func (e *Engine) repairThenRelease(repair func(), cost int) {
+	defer e.release(cost)
+	repair()
 }
 
 // Do executes a batch of requests, fanning out across the worker pool and
@@ -394,13 +425,15 @@ feed:
 	return out
 }
 
-// exec runs one request to completion; the caller holds a pool slot.
-func (e *Engine) exec(ctx context.Context, req Request) Response {
-	resp := Response{Tree: req.Tree, Op: req.Op}
+// exec runs one request; the caller holds a pool slot.  A mutation whose
+// cache repair is still due returns it as repair, to run after the reply
+// (see mutate); every other request runs to completion.
+func (e *Engine) exec(ctx context.Context, req Request) (resp Response, repair func()) {
+	resp = Response{Tree: req.Tree, Op: req.Op}
 	if err := req.Validate(); err != nil {
 		// Structural invalidity is always the client's bug, whatever shape
 		// the underlying message takes.
-		return errorResponse(req, errf(CodeBadRequest, "%s", err.Error()))
+		return errorResponse(req, errf(CodeBadRequest, "%s", err.Error())), nil
 	}
 	if req.Op == OpSPJEval {
 		// The query and database travel with the request; no registered
@@ -408,19 +441,24 @@ func (e *Engine) exec(ctx context.Context, req Request) Response {
 		if err := e.dispatchSPJ(ctx, &resp, req); err != nil {
 			resp = errorResponse(req, err)
 		}
-		return resp
+		return resp, nil
 	}
 	e.mu.RLock()
 	te, ok := e.trees[req.Tree]
 	e.mu.RUnlock()
 	if !ok {
-		return errorResponse(req, errf(CodeUnknownTree, "engine: unknown tree %q", req.Tree))
+		return errorResponse(req, errf(CodeUnknownTree, "engine: unknown tree %q", req.Tree)), nil
 	}
 	if req.Op == OpMutate || req.Op == OpCondition {
 		// Mutations take the entry's write lock inside; they must not hold
-		// the read lock here.
-		if err := e.mutate(&resp, te, req); err != nil {
+		// the read lock here.  A handed-off repair ends with the same
+		// retired-generation purge as below.
+		var err error
+		if repair, err = e.mutate(&resp, te, req); err != nil {
 			resp = errorResponse(req, err)
+		}
+		if repair != nil {
+			return resp, repair
 		}
 	} else {
 		// The read lock spans the whole dispatch so a concurrent mutation
@@ -442,7 +480,7 @@ func (e *Engine) exec(ctx context.Context, req Request) Response {
 		// Purge again so it does not linger in the LRU unreachable.
 		e.cache.removePrefix(genPrefix(req.Tree, te.gen))
 	}
-	return resp
+	return resp, nil
 }
 
 func (e *Engine) dispatch(ctx context.Context, resp *Response, te *treeEntry, req Request) error {

@@ -29,10 +29,21 @@ package engine
 // Ordering discipline: the mutation holds the entry's write lock across
 // all three layers, so a query (which holds the read lock across its
 // whole dispatch) sees either the complete old state or the complete new
-// state, never a tree newer than its program or cache keys.
+// state, never a tree newer than its program or cache keys.  The reply
+// leaves before the cache repair: once the tree, the compiled program
+// and the epoch are settled, mutate hands the repair of the cached
+// intermediates to a goroutine that inherits the write lock, the pool
+// slot and the admission cost, and keeps the lock until the repair ends.
+// A reader therefore waits exactly as long, and sees exactly the bits,
+// it would if the writer had repaired before answering; only the writer
+// hears back earlier.  A mutation with nothing resident to repair
+// finishes inline.
 
 import (
 	"fmt"
+	"log"
+	"maps"
+	"runtime/debug"
 
 	"consensus/internal/andxor"
 	"consensus/internal/genfunc"
@@ -48,14 +59,16 @@ const (
 	MethodRecompiled = "recompiled"
 )
 
-// updatesOf translates the request payload — singular or batched form —
-// into the andxor updates.  validate() vetted the payload shape, so
-// unknown kinds cannot reach the default branches.
-func updatesOf(req Request) []andxor.Update {
-	if req.Op == OpMutate {
-		ms := req.Mutations
-		if req.Mutation != nil {
-			ms = []MutationRequest{*req.Mutation}
+// Updates translates the payload of an OpMutate or OpCondition request —
+// singular or batched form — into the andxor updates.  Validate vetted
+// the payload shape, so unknown kinds cannot reach the default branches.
+// The engine and the cluster coordinator both apply exactly these
+// updates, the coordinator to its own copy of the tree.
+func (r *Request) Updates() []andxor.Update {
+	if r.Op == OpMutate {
+		ms := r.Mutations
+		if r.Mutation != nil {
+			ms = []MutationRequest{*r.Mutation}
 		}
 		us := make([]andxor.Update, len(ms))
 		for i, m := range ms {
@@ -70,9 +83,9 @@ func updatesOf(req Request) []andxor.Update {
 		}
 		return us
 	}
-	evs := req.Evidences
-	if req.Evidence != nil {
-		evs = []EvidenceRequest{*req.Evidence}
+	evs := r.Evidences
+	if r.Evidence != nil {
+		evs = []EvidenceRequest{*r.Evidence}
 	}
 	us := make([]andxor.Update, len(evs))
 	for i, ev := range evs {
@@ -85,14 +98,24 @@ func updatesOf(req Request) []andxor.Update {
 // to the entry under a single write lock and epoch bump.  On success the
 // response reports the new epoch, whether the compiled kernel was patched
 // or recompiled, and the new marginals of the affected keys.
-func (e *Engine) mutate(resp *Response, te *treeEntry, req Request) error {
-	us := updatesOf(req)
+//
+// When cached intermediates of the old epoch need carrying over, mutate
+// returns that work as repair, with the entry's write lock still held:
+// the caller answers first and then runs repair, which releases the lock
+// when the cache is settled.  A nil repair means the mutation finished
+// (or failed) inline and the lock is already released.
+func (e *Engine) mutate(resp *Response, te *treeEntry, req Request) (repair func(), err error) {
+	us := req.Updates()
 	te.rw.Lock()
-	defer te.rw.Unlock()
+	defer func() {
+		if repair == nil {
+			te.rw.Unlock()
+		}
+	}()
 	if te.retired.Load() {
 		// The entry lost a race with Register/Unregister; applying the
 		// mutation here would silently drop it on the floor.
-		return errf(CodeRetiredEpoch, "engine: tree %q was replaced or removed concurrently; re-issue the mutation", req.Tree)
+		return nil, errf(CodeRetiredEpoch, "engine: tree %q was replaced or removed concurrently; re-issue the mutation", req.Tree)
 	}
 	if !te.owned {
 		// Clone-on-first-mutate: the registered tree belongs to the caller
@@ -102,7 +125,7 @@ func (e *Engine) mutate(resp *Response, te *treeEntry, req Request) error {
 	}
 	ds, err := te.tree.ApplyAll(us)
 	if err != nil {
-		return err
+		return nil, err
 	}
 
 	// Bring the compiled kernel up to date.  A resident program takes the
@@ -174,73 +197,107 @@ func (e *Engine) mutate(resp *Response, te *treeEntry, req Request) error {
 	// and repair errors) keep the purge: those intermediates rebuild
 	// lazily under the new epoch.  All repairs are bit-identical to cold
 	// recomputation (see genfunc.RepairRanks), so a query can never tell
-	// a repaired entry from a recomputed one.
+	// a repaired entry from a recomputed one.  The old epoch's entries are
+	// picked up here; the returned repair carries them over.
 	old := te.epoch.Load()
 	oldPrefix := epochPrefix(req.Tree, te.gen, old)
 	newPrefix := epochPrefix(req.Tree, te.gen, old+1)
-	var keptKs []int
+	var ks []int                   // resident rank cutoffs, ascending
+	var oldRDs []*genfunc.RankDist // their distributions, parallel to ks
+	var sizeDist []float64
+	var membership map[string]float64
 	if patched && !e.repairDisabled {
 		te.mu.Lock()
-		ks := append([]int(nil), te.rankKs...)
+		cutoffs := append([]int(nil), te.rankKs...)
 		te.mu.Unlock()
-		var resident []int
-		var oldRDs []*genfunc.RankDist
-		for _, k := range ks {
+		for _, k := range cutoffs {
 			if v, ok := e.cache.peek(oldPrefix + fmt.Sprintf("ranks/%d", k)); ok {
 				if rd, ok := v.(*genfunc.RankDist); ok {
-					resident = append(resident, k)
+					ks = append(ks, k)
 					oldRDs = append(oldRDs, rd)
 				}
 			}
 		}
-		if len(resident) > 0 {
-			repaired := oldRDs
-			if len(changed) > 0 {
-				// A repair error (e.g. the mutation created a co-occurring
-				// cross-key score tie) leaves the entries to the purge; the
-				// next rank query surfaces the error itself.
-				if rds, err := prog.RanksAll(resident, e.rankWorkers); err == nil {
-					repaired = rds
-				} else {
-					repaired = nil
-				}
-			}
-			for i, rd := range repaired {
-				e.cache.add(newPrefix+fmt.Sprintf("ranks/%d", resident[i]), rd)
-				keptKs = append(keptKs, resident[i])
-			}
-		}
 		if v, ok := e.cache.peek(oldPrefix + "size-dist"); ok {
-			if sd, ok := v.([]float64); ok {
-				e.cache.add(newPrefix+"size-dist", []float64(prog.RepairWorldSize(genfunc.Poly(sd), changed)))
-			}
+			sizeDist, _ = v.([]float64)
 		}
 	}
 	if v, ok := e.cache.peek(oldPrefix + "membership"); ok {
 		// Checked assertion: a foreign-typed entry under the membership key
 		// must fall back to the purge path, not panic while holding the
 		// entry write lock.
-		if oldMap, ok := v.(map[string]float64); ok {
-			nm := make(map[string]float64, len(oldMap))
-			for k, v := range oldMap {
-				nm[k] = v
+		membership, _ = v.(map[string]float64)
+	}
+	te.epoch.Store(old + 1)
+	resp.Epoch = old + 1
+	resp.Method = method
+	if len(oldRDs) == 0 && sizeDist == nil && membership == nil {
+		e.settleEpoch(te, req.Tree, oldPrefix, nil)
+		return nil, nil
+	}
+	// The response leaves with resp.Probs; the repair owns its own copy.
+	probs := maps.Clone(resp.Probs)
+	return func() {
+		defer te.rw.Unlock()
+		// The reply has already left, so a panic on this goroutine has no
+		// caller to reach: it is logged and takes the path a repair error
+		// takes, the purge (nothing this repair added is kept).
+		defer func() {
+			if r := recover(); r != nil {
+				log.Printf("engine: cache repair of tree %q panicked, purging its intermediates: %v\n%s", req.Tree, r, debug.Stack())
+				e.cache.removePrefix(newPrefix)
+				e.settleEpoch(te, req.Tree, oldPrefix, nil)
 			}
+		}()
+		if e.repairStart != nil {
+			e.repairStart()
+		}
+		var keptKs []int
+		if len(oldRDs) > 0 {
+			repaired := oldRDs
+			if len(changed) > 0 {
+				// A repair error (e.g. the mutation created a co-occurring
+				// cross-key score tie) leaves the entries to the purge; the
+				// next rank query surfaces the error itself.
+				if rds, err := prog.RanksAll(ks, e.rankWorkers); err == nil {
+					repaired = rds
+				} else {
+					repaired = nil
+				}
+			}
+			for i, rd := range repaired {
+				e.cache.add(newPrefix+fmt.Sprintf("ranks/%d", ks[i]), rd)
+				keptKs = append(keptKs, ks[i])
+			}
+		}
+		if sizeDist != nil {
+			e.cache.add(newPrefix+"size-dist", []float64(prog.RepairWorldSize(genfunc.Poly(sizeDist), changed)))
+		}
+		if membership != nil {
+			nm := maps.Clone(membership)
 			for _, k := range removedRaw {
 				delete(nm, k)
 			}
-			for k, v := range resp.Probs {
+			for k, v := range probs {
 				nm[k] = v
 			}
 			e.cache.add(newPrefix+"membership", nm)
 		}
-	}
-	te.epoch.Store(old + 1)
+		e.settleEpoch(te, req.Tree, oldPrefix, keptKs)
+	}, nil
+}
+
+// settleEpoch ends a mutation's cache carry-over: it records the rank
+// cutoffs resident under the new epoch, purges the old epoch, and
+// re-purges the whole generation if the tree was replaced or removed
+// meanwhile (the same check exec makes after a read), so nothing the
+// carry-over inserted outlives its generation.
+func (e *Engine) settleEpoch(te *treeEntry, name, oldPrefix string, keptKs []int) {
 	te.mu.Lock()
 	te.rankKs = keptKs
 	te.mu.Unlock()
 	e.cache.removePrefix(oldPrefix)
-
-	resp.Epoch = old + 1
-	resp.Method = method
-	return nil
+	if te.retired.Load() {
+		e.cache.removePrefix(genPrefix(name, te.gen))
+	}
 }

@@ -5,8 +5,10 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"log"
 	"math/rand"
 	"net/http/httptest"
+	"os"
 	"reflect"
 	"strings"
 	"sync"
@@ -383,14 +385,14 @@ func TestMutateAfterReplaceRejected(t *testing.T) {
 		t.Fatal(err)
 	}
 	var resp Response
-	err := e.mutate(&resp, te, Request{Tree: "db", Op: OpMutate, Mutation: &MutationRequest{
+	_, err := e.mutate(&resp, te, Request{Tree: "db", Op: OpMutate, Mutation: &MutationRequest{
 		Kind: "set-prob", Key: "t1", Score: 8, Prob: 0.1,
 	}})
 	if err == nil {
 		t.Fatal("mutation against a retired entry accepted")
 	}
 	// The batched form hits the same guard.
-	err = e.mutate(&resp, te, Request{Tree: "db", Op: OpMutate, Mutations: []MutationRequest{
+	_, err = e.mutate(&resp, te, Request{Tree: "db", Op: OpMutate, Mutations: []MutationRequest{
 		{Kind: "set-prob", Key: "t1", Score: 8, Prob: 0.1},
 		{Kind: "set-prob", Key: "t3", Score: 4, Prob: 0.2},
 	}})
@@ -920,5 +922,177 @@ func TestHandlerMutateRemovedJSON(t *testing.T) {
 	}
 	if !bytes.Contains(raw, []byte(`"removed":["b"]`)) {
 		t.Fatalf("removal not serialized: %s", raw)
+	}
+}
+
+// gateRepairs makes every handed-off cache repair of e signal started
+// and then wait for the returned release function.
+func gateRepairs(e *Engine) (started <-chan struct{}, release func()) {
+	st := make(chan struct{}, 1)
+	gate := make(chan struct{})
+	e.repairStart = func() {
+		st <- struct{}{}
+		<-gate
+	}
+	return st, func() { close(gate) }
+}
+
+// waitRepairs blocks until every pool slot is free, i.e. until no
+// handed-off repair still holds the slot it inherited.
+func waitRepairs(e *Engine) {
+	for i := 0; i < cap(e.sem); i++ {
+		e.sem <- struct{}{}
+	}
+	for i := 0; i < cap(e.sem); i++ {
+		<-e.sem
+	}
+}
+
+// warmMutTree registers mutTree under "db" and warms a rank
+// distribution, the world-size distribution and the membership map, so
+// the next weight-only mutation has a repair to hand off.
+func warmMutTree(t *testing.T, e *Engine) *treeEntry {
+	t.Helper()
+	if err := e.Register("db", mutTree(t)); err != nil {
+		t.Fatal(err)
+	}
+	mustOk(t, e.Query(Request{Tree: "db", Op: OpRankDist, K: 2}))
+	mustOk(t, e.Query(Request{Tree: "db", Op: OpSizeDist}))
+	mustOk(t, e.Query(Request{Tree: "db", Op: OpMembership}))
+	e.mu.RLock()
+	defer e.mu.RUnlock()
+	return e.trees["db"]
+}
+
+var handOffMutation = Request{Tree: "db", Op: OpMutate, Mutation: &MutationRequest{
+	Kind: "set-prob", Key: "t1", Score: 8, Prob: 0.2,
+}}
+
+// TestMutationAnswersBeforeRepair pins the hand-off: the mutation answers
+// while its cache repair is still held, the repair keeps the entry's
+// write lock, the pool slot and the admission cost until it ends, and a
+// read sent right after the answer waits for the repair and then hits
+// the repaired entries without computing anything.
+func TestMutationAnswersBeforeRepair(t *testing.T) {
+	e := New(Options{Workers: 2, AdmissionCapacity: 64})
+	te := warmMutTree(t, e)
+	started, release := gateRepairs(e)
+
+	resp := mustOk(t, e.Query(handOffMutation))
+	<-started
+	if resp.Epoch != 1 || resp.Method != MethodPatched {
+		t.Fatalf("mutation answered epoch %d method %q, want 1 %q", resp.Epoch, resp.Method, MethodPatched)
+	}
+	if te.rw.TryRLock() {
+		t.Fatal("entry readable while its repair is in flight")
+	}
+	if got := e.adm.InFlight(); got != CostMutation {
+		t.Fatalf("admission in flight = %d during the repair, want %d", got, CostMutation)
+	}
+	if got := len(e.sem); got != 1 {
+		t.Fatalf("pool slots held = %d during the repair, want 1", got)
+	}
+	resp.Probs["t1"] = -1 // the caller owns the response; the repair must not read it
+
+	computes := e.Stats().Computes
+	reads := make(chan [2]Response, 1)
+	go func() {
+		reads <- [2]Response{
+			e.Query(Request{Tree: "db", Op: OpRankDist, K: 2}),
+			e.Query(Request{Tree: "db", Op: OpMembership}),
+		}
+	}()
+	release()
+	got := <-reads
+	if c := e.Stats().Computes; c != computes {
+		t.Fatalf("read after the mutation computed: computes %d -> %d", computes, c)
+	}
+	waitRepairs(e)
+	if got := e.adm.InFlight(); got != 0 {
+		t.Fatalf("admission in flight = %d after the repair, want 0", got)
+	}
+
+	cold := New(Options{})
+	nt := mutTree(t)
+	if _, err := nt.ApplyAll(handOffMutation.Updates()); err != nil {
+		t.Fatal(err)
+	}
+	if err := cold.Register("db", nt); err != nil {
+		t.Fatal(err)
+	}
+	for i, req := range []Request{{Tree: "db", Op: OpRankDist, K: 2}, {Tree: "db", Op: OpMembership}} {
+		want := mustOk(t, cold.Query(req))
+		want.Epoch = 1
+		if !reflect.DeepEqual(mustOk(t, got[i]), want) {
+			t.Fatalf("%s after the hand-off differs from a cold engine:\n got  %+v\n want %+v", req.Op, got[i], want)
+		}
+	}
+}
+
+// TestReregisterDuringRepairLeavesNoStaleEntries pins the retired re-purge
+// at the end of a handed-off repair: a tree re-registered while the
+// repair of its previous generation is in flight ends up with no cache
+// entry under the old generation.
+func TestReregisterDuringRepairLeavesNoStaleEntries(t *testing.T) {
+	e := New(Options{Workers: 1})
+	te := warmMutTree(t, e)
+	started, release := gateRepairs(e)
+
+	mustOk(t, e.Query(handOffMutation))
+	<-started
+	if err := e.Register("db", mutTree(t)); err != nil {
+		t.Fatal(err)
+	}
+	release()
+	waitRepairs(e)
+
+	prefix := genPrefix("db", te.gen)
+	e.cache.mu.Lock()
+	defer e.cache.mu.Unlock()
+	for key := range e.cache.items {
+		if strings.HasPrefix(key, prefix) {
+			t.Errorf("cache entry %q of the replaced generation survived the repair", key)
+		}
+	}
+}
+
+// TestRepairPanicFallsBackToPurge pins the repair's panic path: the
+// panic is logged with its stack, the inherited lock, pool slot and
+// admission cost are released, the new epoch's cache is purged, and the
+// next read recomputes the cold answer.
+func TestRepairPanicFallsBackToPurge(t *testing.T) {
+	var logged bytes.Buffer
+	log.SetOutput(&logged)
+	defer log.SetOutput(os.Stderr)
+	e := New(Options{Workers: 1, AdmissionCapacity: 64})
+	warmMutTree(t, e)
+	e.repairStart = func() { panic("repair failed") }
+
+	mustOk(t, e.Query(handOffMutation))
+	waitRepairs(e)
+	if msg := logged.String(); !strings.Contains(msg, "repair failed") || !strings.Contains(msg, "goroutine") {
+		t.Fatalf("panicked repair logged %q; want the panic value and its stack", msg)
+	}
+	if got := e.adm.InFlight(); got != 0 {
+		t.Fatalf("admission in flight = %d after a panicked repair, want 0", got)
+	}
+	computes := e.Stats().Computes
+	got := mustOk(t, e.Query(Request{Tree: "db", Op: OpRankDist, K: 2}))
+	if c := e.Stats().Computes; c == computes {
+		t.Fatal("read after a panicked repair hit a cached entry; want a recompute")
+	}
+
+	cold := New(Options{})
+	nt := mutTree(t)
+	if _, err := nt.ApplyAll(handOffMutation.Updates()); err != nil {
+		t.Fatal(err)
+	}
+	if err := cold.Register("db", nt); err != nil {
+		t.Fatal(err)
+	}
+	want := mustOk(t, cold.Query(Request{Tree: "db", Op: OpRankDist, K: 2}))
+	want.Epoch = 1
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("rank-dist after a panicked repair differs from a cold engine:\n got  %+v\n want %+v", got, want)
 	}
 }
