@@ -13,7 +13,7 @@ COVER_PKGS  ?= ./internal/approx ./internal/engine ./internal/rankagg \
 # Fixed benchtime so bench.json artifacts are comparable across commits.
 BENCHTIME ?= 20x
 
-.PHONY: all build test race bench bench-json bench-compare bench-compare-base bench-baseline lint fmt cover fuzz vulncheck cluster-smoke perfbench-test loc
+.PHONY: all build test race bench bench-json bench-compare bench-compare-base bench-baseline lint fmt cover fuzz vulncheck cluster-smoke perfbench-test loc loc-compare-base
 
 all: build test
 
@@ -28,8 +28,22 @@ race:
 
 # Net non-test Go line count of the root module (perfbench/ is its own
 # module and is excluded), the size figure a subtraction change reports.
+LOC_COUNT = find . -name '*.go' ! -name '*_test.go' ! -path './perfbench/*' ! -path './.bench-base/*' -exec cat {} + | wc -l
 loc:
-	@find . -name '*.go' ! -name '*_test.go' ! -path './perfbench/*' ! -path './.bench-base/*' -exec cat {} + | wc -l | awk '{print "non-test Go lines:", $$1}'
+	@$(LOC_COUNT) | awk '{print "non-test Go lines:", $$1}'
+
+# The same count at BENCH_BASE_REF, read from git's object store (no
+# worktree) with loc's filter, next to the checkout's count and the net
+# delta.  It only reports: an unresolvable ref prints a note, never fails.
+loc-compare-base:
+	@if ! git rev-parse -q --verify '$(BENCH_BASE_REF)^{commit}' >/dev/null; then \
+		echo "loc-compare-base: cannot resolve $(BENCH_BASE_REF), nothing to compare"; exit 0; \
+	fi; \
+	base=$$(git ls-tree -r --name-only '$(BENCH_BASE_REF)' | \
+		grep '\.go$$' | grep -v '_test\.go$$' | grep -v '^perfbench/' | \
+		while IFS= read -r f; do git cat-file blob '$(BENCH_BASE_REF)':"$$f"; done | wc -l); \
+	head=$$($(LOC_COUNT)); \
+	echo "non-test Go lines: base $$base ($(BENCH_BASE_REF)), head $$head, delta $$((head - base))"
 
 # Benchmark smoke: one iteration of every benchmark, no tests (-run XXX),
 # proving the bench harness itself stays green without burning CI minutes.

@@ -433,46 +433,6 @@ func BenchmarkB8LineageScaling(b *testing.B) {
 	}
 }
 
-// B9: sequential vs parallel rank-distribution computation (the per-leaf
-// generating functions are independent, so the work parallelizes across
-// GOMAXPROCS).
-func BenchmarkB9RanksParallel(b *testing.B) {
-	tr := workload.BID(rand.New(rand.NewSource(28)), 192, 2)
-	k := 10
-	b.Run("sequential", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, err := genfunc.Ranks(tr, k); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("parallel", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, err := genfunc.RanksParallel(tr, k, 0); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-}
-
-// B10: Monte Carlo estimation throughput on a tree far beyond enumeration
-// reach (2^600 worlds).
-func BenchmarkB10MonteCarlo(b *testing.B) {
-	tr := workload.BID(rand.New(rand.NewSource(29)), 600, 2)
-	rng := rand.New(rand.NewSource(30))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := EstimateExpected(tr, func(w *types.World) float64 {
-			return float64(w.Len())
-		}, 100, rng); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // B11: end-to-end serving throughput of the engine subsystem through the
 // public API, on the BenchmarkE6 workload: a warm mixed batch of the
 // typical per-tree queries.  Compare against E6 (~the cost of ONE uncached

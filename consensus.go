@@ -45,9 +45,6 @@ type (
 	Update = andxor.Update
 	// UpdateKind discriminates the mutation and conditioning operations.
 	UpdateKind = andxor.UpdateKind
-	// Delta reports what a Tree.Apply changed (consumed by the engine's
-	// compiled-kernel patch path).
-	Delta = andxor.Delta
 )
 
 // Mutation and evidence kinds accepted by Tree.Apply (and, as strings, by
@@ -85,9 +82,6 @@ var (
 // precisely the given world (0 if it is not a possible world); linear in
 // the tree size.
 func WorldProbability(t *Tree, w *World) float64 { return andxor.WorldProb(t, w) }
-
-// IsPossibleWorld reports whether w has non-zero probability.
-func IsPossibleWorld(t *Tree, w *World) bool { return andxor.IsPossible(t, w) }
 
 // WorldSizeDistribution returns Pr(|pw| = i) for every i, computed with
 // the generating function of Example 1 / Figure 1(i).
@@ -223,8 +217,6 @@ func TopKKendallPivot(t *Tree, k int, rng *rand.Rand) (TopKList, error) {
 var (
 	// PTk is the probabilistic-threshold top-k answer.
 	PTk = topk.PTk
-	// GlobalTopK is the global top-k answer (= the Theorem 3 mean).
-	GlobalTopK = topk.GlobalTopK
 	// UTopK is the most probable top-k answer (exponential: enumerates).
 	UTopK = topk.UTopK
 	// UTopKSampled estimates UTopK by sampling.
@@ -273,11 +265,6 @@ func GroupMatrixFromTree(t *Tree) ([][]float64, []string, error) {
 	}
 	return p, groups, nil
 }
-
-// NewClusterInstance builds the consensus-clustering instance of a
-// labeled tree: tuple keys plus the co-clustering probability matrix
-// computed with generating functions (Section 6.2).
-func NewClusterInstance(t *Tree) *ClusterInstance { return cluster.FromTree(t) }
 
 // ConsensusClustering runs pivot clustering with restarts on the tree's
 // co-clustering probabilities and returns the best clustering found with

@@ -31,7 +31,7 @@ func TestFacadeQuickstartFlow(t *testing.T) {
 		t.Fatalf("mean world %v, want {a, b}", mean)
 	}
 	med := MedianWorld(db)
-	if !IsPossibleWorld(db, med) {
+	if WorldProbability(db, med) <= 0 {
 		t.Fatal("median must be possible")
 	}
 	if p := WorldProbability(db, mean); !numeric.AlmostEqual(p, 0.9*0.6*0.6, 1e-12) {
@@ -170,9 +170,6 @@ func TestFacadeClustering(t *testing.T) {
 	if ins.KeyIndex("a") != 0 {
 		t.Fatal("instance keys wrong")
 	}
-	if got := NewClusterInstance(db); len(got.Keys) != 3 {
-		t.Fatal("NewClusterInstance wrong")
-	}
 }
 
 func TestFacadeJSONRoundTrip(t *testing.T) {
@@ -192,9 +189,6 @@ func TestFacadeJSONRoundTrip(t *testing.T) {
 
 func TestFacadeBaselines(t *testing.T) {
 	db := quickDB(t)
-	if tau, err := GlobalTopK(db, 2); err != nil || len(tau) != 2 {
-		t.Fatalf("GlobalTopK %v %v", tau, err)
-	}
 	if tau, err := PTk(db, 2, 0.5); err != nil || len(tau) == 0 {
 		t.Fatalf("PTk %v %v", tau, err)
 	}

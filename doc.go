@@ -21,8 +21,9 @@
 //     distances (Section 4);
 //   - consensus top-k answers under the symmetric difference,
 //     intersection, Spearman-footrule and Kendall distances (Section 5),
-//     together with the prior ranking semantics (U-top-k, PT-k, global
-//     top-k, expected rank, expected score) as baselines;
+//     together with the prior ranking semantics (U-top-k, PT-k, expected
+//     rank, expected score; global top-k is the symmetric-difference
+//     mean) as baselines;
 //   - consensus group-by count answers (Section 6.1) and consensus
 //     clusterings (Section 6.2);
 //   - consensus full rankings via the classical aggregation rules
@@ -58,6 +59,30 @@
 //	})
 //	top2, _ := consensus.TopKMean(db, 2, consensus.MetricSymmetricDifference)
 //	world := consensus.MeanWorld(db)
+//
+// # The API by paper section
+//
+// The functions the examples call cite their paper results in their own
+// documentation.  The remaining exported names, by the part of the paper
+// they implement:
+//
+//	Section 2     consensus.KendallTau          Kendall distance of two full rankings
+//	Section 2     consensus.SpearmanFootrule    footrule distance of two full rankings
+//	Definition 1  consensus.Node                an and/xor tree node under construction
+//	Definition 1  consensus.NewLeaf             a leaf: one tuple alternative
+//	Definition 1  consensus.NewAnd              an and-node: its children coexist
+//	Definition 1  consensus.NewOr               an or-node: at most one child, by edge probability
+//	Definition 1  consensus.NewTree             checks a built tree against Definition 1
+//	Section 3.3   consensus.RankDist            Pr(r(t) = i), as RankDistribution returns it
+//	Section 4.2   consensus.ExpectedJaccard     E[d_J(W, pw)] of a candidate world W
+//	Section 4.2   consensus.MeanWorldJaccard    the Jaccard mean world, tuple-independent
+//	Section 4.2   consensus.MedianWorldJaccard  the Jaccard median world, BID
+//	Section 5     consensus.TopKList            a top-k answer, as TopKMean returns it
+//	Section 5.3   consensus.TopKUpsilonH        the H_k-approximate intersection mean
+//	Section 5.5   consensus.TopKKendallPivot    the pivot Kendall consensus
+//	Section 6.2   consensus.ClusterInstance     the co-clustering probabilities of a tree
+//	Section 6.2   consensus.Clustering          a clustering, as ConsensusClustering returns it
+//	Conclusions   consensus.ProbTable           one table of a ProbDatabase, for safe plans
 //
 // # Serving
 //

@@ -16,69 +16,80 @@ import (
 	"consensus/internal/engine"
 )
 
-// TestFacadeReexportsOnlyWhatIsUsed keeps the engine facade (engine.go)
-// from growing back.  The Op* and Code* constants are the Go spelling of
-// the package documentation's op and error-code tables, so they must be
-// exactly engine.Ops() and engine.Codes(); the aliases naming those
-// constants' types belong to the same tables.  Every other exported name
-// must be used by an example, a command, README.md or doc.go, as
+// TestFacadeReexportsOnlyWhatIsUsed keeps the root package's public
+// surface from growing back.  It parses every non-test root file.  The
+// Op* and Code* constants are the Go spelling of the package
+// documentation's op and error-code tables, so they must be exactly
+// engine.Ops() and engine.Codes(); the aliases naming those constants'
+// types belong to the same tables.  Every other exported name must be
+// used by an example, a command, README.md or doc.go, as
 // consensus.<Name> or <Name>.<member>.
 func TestFacadeReexportsOnlyWhatIsUsed(t *testing.T) {
 	fset := token.NewFileSet()
-	facade, err := parser.ParseFile(fset, "engine.go", nil, 0)
+	roots, err := filepath.Glob("*.go")
 	if err != nil {
 		t.Fatal(err)
 	}
 	engineConsts := engineStringConsts(t, fset)
 
 	var ops, codes []string
-	tableTypes := map[string]bool{} // engine types of the table constants
-	var others []string
-	aliases := map[string]string{} // root type alias -> engine type it names
-	for _, decl := range facade.Decls {
-		switch d := decl.(type) {
-		case *ast.FuncDecl:
-			if d.Name.IsExported() {
-				others = append(others, d.Name.Name)
-			}
-		case *ast.GenDecl:
-			for _, spec := range d.Specs {
-				switch s := spec.(type) {
-				case *ast.TypeSpec:
-					if !s.Name.IsExported() {
-						continue
-					}
-					aliases[s.Name.Name] = engineSel(s.Type)
-				case *ast.ValueSpec:
-					for i, name := range s.Names {
-						if !name.IsExported() {
+	tableTypes := map[string]bool{}   // engine types of the table constants
+	declaredIn := map[string]string{} // exported name -> root file declaring it
+	aliases := map[string]string{}    // root type alias -> engine type it names
+	for _, path := range roots {
+		if strings.HasSuffix(path, "_test.go") {
+			continue
+		}
+		file, err := parser.ParseFile(fset, path, nil, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, decl := range file.Decls {
+			switch d := decl.(type) {
+			case *ast.FuncDecl:
+				if d.Recv == nil && d.Name.IsExported() {
+					declaredIn[d.Name.Name] = path
+				}
+			case *ast.GenDecl:
+				for _, spec := range d.Specs {
+					switch s := spec.(type) {
+					case *ast.TypeSpec:
+						if !s.Name.IsExported() {
 							continue
 						}
-						var table *[]string
-						switch {
-						case strings.HasPrefix(name.Name, "Op"):
-							table = &ops
-						case strings.HasPrefix(name.Name, "Code"):
-							table = &codes
-						default:
-							others = append(others, name.Name)
-							continue
+						aliases[s.Name.Name] = engineSel(s.Type)
+						declaredIn[s.Name.Name] = path
+					case *ast.ValueSpec:
+						for i, name := range s.Names {
+							if !name.IsExported() {
+								continue
+							}
+							var table *[]string
+							switch {
+							case strings.HasPrefix(name.Name, "Op"):
+								table = &ops
+							case strings.HasPrefix(name.Name, "Code"):
+								table = &codes
+							default:
+								declaredIn[name.Name] = path
+								continue
+							}
+							c, found := engineConsts[engineSel(s.Values[i])]
+							if !found {
+								t.Errorf("%s: %s is not an engine Op or Code constant", path, name.Name)
+								continue
+							}
+							*table = append(*table, c.value)
+							tableTypes[c.typ] = true
 						}
-						c, found := engineConsts[engineSel(s.Values[i])]
-						if !found {
-							t.Errorf("engine.go: %s is not an engine Op or Code constant", name.Name)
-							continue
-						}
-						*table = append(*table, c.value)
-						tableTypes[c.typ] = true
 					}
 				}
 			}
 		}
 	}
 	for name, target := range aliases {
-		if !tableTypes[target] {
-			others = append(others, name)
+		if tableTypes[target] {
+			delete(declaredIn, name)
 		}
 	}
 
@@ -93,11 +104,15 @@ func TestFacadeReexportsOnlyWhatIsUsed(t *testing.T) {
 	sameSet(t, "Code* constants", codes, wantCodes)
 
 	corpus := usageCorpus(t)
+	var others []string
+	for name := range declaredIn {
+		others = append(others, name)
+	}
 	sort.Strings(others)
 	for _, name := range others {
 		used := regexp.MustCompile(`\bconsensus\.` + name + `\b|\b` + name + `\.`)
 		if !used.MatchString(corpus) {
-			t.Errorf("engine.go re-exports %s, which no example, command, README.md or doc.go uses; delete it", name)
+			t.Errorf("%s exports %s, which no example, command, README.md or doc.go uses; delete it", declaredIn[name], name)
 		}
 	}
 }
@@ -199,6 +214,6 @@ func sameSet(t *testing.T, what string, got, want []string) {
 	sort.Strings(g)
 	sort.Strings(w)
 	if strings.Join(g, ",") != strings.Join(w, ",") {
-		t.Errorf("engine.go %s = %v, want exactly %v", what, g, w)
+		t.Errorf("root %s = %v, want exactly %v", what, g, w)
 	}
 }

@@ -2,35 +2,9 @@ package aggregate
 
 import (
 	"fmt"
-	"sort"
 
 	"consensus/internal/andxor"
-	"consensus/internal/genfunc"
-	"consensus/internal/types"
 )
-
-// Group-by counts over general and/xor trees.  Section 6.1 analyses the
-// independent-tuples matrix model; for correlated databases the mean
-// answer still follows from linearity of expectation, and the generating
-// function of Example 2 delivers the full per-group count distribution
-// (mark the alternatives of one label with x: the coefficient of x^c is
-// Pr(count = c)).  These are the tree-level counterparts the library
-// exposes for correlated inputs, where the flow-based median machinery no
-// longer applies.
-
-// Labels returns the distinct labels appearing in the tree, sorted.
-func Labels(t *andxor.Tree) []string {
-	set := map[string]bool{}
-	for _, l := range t.LeafAlternatives() {
-		set[l.Label] = true
-	}
-	out := make([]string, 0, len(set))
-	for l := range set {
-		out = append(out, l)
-	}
-	sort.Strings(out)
-	return out
-}
 
 // MatrixFromTree converts a labeled BID tree whose blocks all sum to
 // probability 1 (attribute-level uncertainty only, the Section 6.1 model)
@@ -63,52 +37,4 @@ func MatrixFromTree(t *andxor.Tree) ([][]float64, []string, error) {
 		return nil, nil, fmt.Errorf("aggregate: tree is not a total group assignment: %w", err)
 	}
 	return p, groups, nil
-}
-
-// TreeMeanCounts returns the expected count per label: the sum of the
-// marginal probabilities of the label's alternatives (linearity of
-// expectation holds under any correlation).
-func TreeMeanCounts(t *andxor.Tree) map[string]float64 {
-	out := map[string]float64{}
-	probs := t.MarginalProbs()
-	for i, l := range t.LeafAlternatives() {
-		out[l.Label] += probs[i]
-	}
-	return out
-}
-
-// TreeCountDistribution returns Pr(count(label) = c) for c = 0..n as a
-// slice, computed with the subset generating function.
-func TreeCountDistribution(t *andxor.Tree, label string) []float64 {
-	p := genfunc.SubsetSizeDist(t, func(_ int, l types.Leaf) bool {
-		return l.Label == label
-	})
-	return append([]float64(nil), p...)
-}
-
-// TreeCountVariance returns the variance of a label's count, from its
-// distribution.
-func TreeCountVariance(t *andxor.Tree, label string) float64 {
-	dist := TreeCountDistribution(t, label)
-	mean, m2 := 0.0, 0.0
-	for c, p := range dist {
-		mean += float64(c) * p
-		m2 += float64(c) * float64(c) * p
-	}
-	return m2 - mean*mean
-}
-
-// TreeExpectedSqDist returns E[||r - v||^2] for a candidate vector v over
-// the given labels, valid under arbitrary correlations: the expectation
-// decomposes into per-label variance plus squared bias, and both come
-// from the count distributions.
-func TreeExpectedSqDist(t *andxor.Tree, labels []string, v []float64) float64 {
-	e := 0.0
-	means := TreeMeanCounts(t)
-	for j, label := range labels {
-		variance := TreeCountVariance(t, label)
-		d := means[label] - v[j]
-		e += variance + d*d
-	}
-	return e
 }

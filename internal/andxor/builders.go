@@ -2,7 +2,6 @@ package andxor
 
 import (
 	"fmt"
-	"sort"
 
 	"consensus/internal/types"
 )
@@ -168,19 +167,4 @@ func Figure1iii() *Tree {
 		panic(err)
 	}
 	return t
-}
-
-// SortedKeys returns the distinct keys of a leaf slice, sorted; a shared
-// helper for builders and tests.
-func SortedKeys(leaves []types.Leaf) []string {
-	set := map[string]bool{}
-	for _, l := range leaves {
-		set[l.Key] = true
-	}
-	out := make([]string, 0, len(set))
-	for k := range set {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
 }

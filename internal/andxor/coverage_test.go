@@ -62,13 +62,6 @@ func TestIndependentErrors(t *testing.T) {
 	}
 }
 
-func TestSortedKeys(t *testing.T) {
-	keys := SortedKeys([]types.Leaf{{Key: "b"}, {Key: "a"}, {Key: "b"}})
-	if len(keys) != 2 || keys[0] != "a" || keys[1] != "b" {
-		t.Fatalf("SortedKeys = %v", keys)
-	}
-}
-
 func TestKeyMarginalsFigure1iii(t *testing.T) {
 	m := Figure1iii().KeyMarginals()
 	want := map[string]float64{"t1": 0.6, "t2": 0.7, "t3": 0.6, "t4": 0.7, "t5": 0.4}

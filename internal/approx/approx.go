@@ -156,36 +156,26 @@ func HoeffdingRadius(n int, lo, hi, delta float64) float64 {
 	return (hi - lo) * math.Sqrt(math.Log(2/delta)/(2*float64(n)))
 }
 
-// HoeffdingSamples returns the number of samples sufficient for a
-// (1-delta) confidence interval of half-width at most eps for a quantity
-// bounded in [lo, hi].  Budgets whose count would not even fit an int64
-// (adversarially tiny eps) are rejected rather than overflowed.
-func HoeffdingSamples(eps, lo, hi, delta float64) (int, error) {
-	if eps <= 0 || hi <= lo || delta <= 0 || delta >= 1 {
-		return 0, fmt.Errorf("approx: need eps > 0, hi > lo, 0 < delta < 1")
+// hoeffdingSamples returns the sample count sufficient for a (1-delta)
+// confidence half-width of at most eps on a [0,1]-valued mean, erroring
+// out when the budget needs more than max draws.  Budgets whose count
+// would not even fit an int64 (adversarially tiny eps) are rejected
+// rather than overflowed.
+func hoeffdingSamples(eps, delta float64, max int) (int, error) {
+	if eps <= 0 || delta <= 0 || delta >= 1 {
+		return 0, fmt.Errorf("approx: need eps > 0, 0 < delta < 1")
 	}
-	n := math.Ceil((hi - lo) * (hi - lo) * math.Log(2/delta) / (2 * eps * eps))
+	n := math.Ceil(math.Log(2/delta) / (2 * eps * eps))
 	if math.IsNaN(n) || n >= float64(math.MaxInt64) {
 		return 0, fmt.Errorf("approx: budget (eps=%g, delta=%g) needs %g samples, beyond any feasible run", eps, delta, n)
 	}
-	return int(n), nil
-}
-
-// hoeffdingSamples returns the sample count sufficient for half-width eps
-// on a [0,1]-valued mean at confidence 1-delta, erroring out when the
-// budget needs more than max draws.
-func hoeffdingSamples(eps, delta float64, max int) (int, error) {
-	n, err := HoeffdingSamples(eps, 0, 1, delta)
-	if err != nil {
-		return 0, err
-	}
-	if n > max {
-		return 0, fmt.Errorf("approx: budget (epsilon=%g, delta=%g) needs %d samples, above the %d cap; loosen the budget", eps, delta, n, max)
+	if int(n) > max {
+		return 0, fmt.Errorf("approx: budget (epsilon=%g, delta=%g) needs %d samples, above the %d cap; loosen the budget", eps, delta, int(n), max)
 	}
 	if n < 1 {
 		n = 1
 	}
-	return n, nil
+	return int(n), nil
 }
 
 // bernsteinRadius is the empirical-Bernstein (1-delta) half-width for a

@@ -2,14 +2,12 @@ package approx
 
 import (
 	"context"
-	"errors"
 	"math"
 	"math/rand"
 	"reflect"
 	"testing"
 	"time"
 
-	"consensus/internal/types"
 	"consensus/internal/workload"
 )
 
@@ -75,62 +73,28 @@ func TestSamplerMatchesTreeSample(t *testing.T) {
 	}
 }
 
-// TestSampleWorlds pins the exported world sampler: the same seed visits
-// exactly the worlds Tree.Sample draws, a non-positive count is rejected,
-// and a cancelled context stops the run before the first draw.
-func TestSampleWorlds(t *testing.T) {
-	for seed := int64(1); seed <= 3; seed++ {
-		tr := workload.Nested(rand.New(rand.NewSource(seed)), 10, 3)
-		ref := rand.New(rand.NewSource(7 + seed))
-		draws := 0
-		err := SampleWorlds(context.Background(), tr, 600, rand.New(rand.NewSource(7+seed)), func(w *types.World) {
-			if want := tr.Sample(ref); !w.Equal(want) {
-				t.Fatalf("seed %d draw %d: SampleWorlds %v, Tree.Sample %v", seed, draws, w, want)
-			}
-			draws++
-		})
-		if err != nil || draws != 600 {
-			t.Fatalf("seed %d: %d draws, err %v; want 600, nil", seed, draws, err)
-		}
-	}
-	tr := workload.BID(rand.New(rand.NewSource(4)), 5, 2)
-	visit := func(*types.World) { t.Fatal("no world may be drawn") }
-	for _, n := range []int{0, -3} {
-		if err := SampleWorlds(context.Background(), tr, n, rand.New(rand.NewSource(1)), visit); err == nil {
-			t.Fatalf("n = %d must error", n)
-		}
-	}
-	cancelled, cancel := context.WithCancel(context.Background())
-	cancel()
-	if err := SampleWorlds(cancelled, tr, 1<<30, rand.New(rand.NewSource(1)), visit); !errors.Is(err, context.Canceled) {
-		t.Fatalf("cancelled context: err = %v, want context.Canceled", err)
-	}
-}
-
 func TestHoeffding(t *testing.T) {
-	n, err := HoeffdingSamples(0.01, 0, 1, 0.05)
+	n, err := hoeffdingSamples(0.01, 0.05, DefaultMaxSamples)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// (1/2) ln(2/0.05) / 1e-4 ~ 18445.
 	if n < 18000 || n > 19000 {
-		t.Fatalf("HoeffdingSamples = %d", n)
+		t.Fatalf("hoeffdingSamples = %d", n)
 	}
 	if r := HoeffdingRadius(n, 0, 1, 0.05); r > 0.01+1e-9 {
 		t.Fatalf("radius %g exceeds requested eps", r)
 	}
-	// The [lo, hi] form scales with the range: a quantity in [-2, 2] needs
-	// 16x the samples of a [0, 1] one for the same half-width.
-	if wide, err := HoeffdingSamples(0.01, -2, 2, 0.05); err != nil || wide < 16*n-16 || wide > 16*n {
-		t.Fatalf("HoeffdingSamples on [-2, 2] = %d (%v), want ~16*%d", wide, err, n)
-	}
 	if r := HoeffdingRadius(n, -2, 2, 0.05); math.Abs(r-4*HoeffdingRadius(n, 0, 1, 0.05)) > 1e-15 {
 		t.Fatalf("radius on [-2, 2] = %g, want 4x the unit radius", r)
 	}
-	for _, bad := range [][4]float64{{-1, 0, 1, 0.05}, {0.01, 1, 1, 0.05}, {0.01, 0, 1, 0}, {0.01, 0, 1, 1}, {1e-300, 0, 1, 0.05}} {
-		if _, err := HoeffdingSamples(bad[0], bad[1], bad[2], bad[3]); err == nil {
-			t.Fatalf("HoeffdingSamples%v must error", bad)
+	for _, bad := range [][2]float64{{-1, 0.05}, {0.01, 0}, {0.01, 1}, {1e-300, 0.05}} {
+		if _, err := hoeffdingSamples(bad[0], bad[1], math.MaxInt); err == nil {
+			t.Fatalf("hoeffdingSamples%v must error", bad)
 		}
+	}
+	if _, err := hoeffdingSamples(0.01, 0.05, n-1); err == nil {
+		t.Fatalf("a cap of %d draws must reject a budget needing %d", n-1, n)
 	}
 	if !math.IsInf(HoeffdingRadius(0, 0, 1, 0.05), 1) {
 		t.Fatal("n=0 radius must be infinite")

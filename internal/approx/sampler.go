@@ -2,12 +2,10 @@ package approx
 
 import (
 	"context"
-	"fmt"
 	"math/rand"
 	"sort"
 
 	"consensus/internal/andxor"
-	"consensus/internal/types"
 )
 
 // sampler is a tree compiled for high-throughput world sampling: the node
@@ -113,35 +111,6 @@ func (s *sampler) sampleInto(rng *rand.Rand, buf []int32) []int32 {
 	}
 	walk(s.root)
 	return buf
-}
-
-// SampleWorlds draws n possible worlds of t with rng on the compiled
-// sampler and passes each one, as a fresh World, to visit.  The draws
-// consume rng exactly like n calls of Tree.Sample, so a seeded run visits
-// the same worlds in the same order.  The context is checked every
-// ctxBatch draws, starting before the first, and a cancellation stops the
-// run with the context's error.
-func SampleWorlds(ctx context.Context, t *andxor.Tree, n int, rng *rand.Rand, visit func(*types.World)) error {
-	if n <= 0 {
-		return fmt.Errorf("approx: samples must be positive, got %d", n)
-	}
-	s := newSampler(t)
-	leaves := t.LeafAlternatives()
-	var buf []int32
-	var present []types.Leaf
-	for i := 0; i < n; i++ {
-		if err := checkCtx(ctx, i); err != nil {
-			return fmt.Errorf("approx: sampling interrupted: %w", err)
-		}
-		buf = s.sampleInto(rng, buf[:0])
-		present = present[:0]
-		for _, li := range buf {
-			present = append(present, leaves[li])
-		}
-		// A sampled world satisfies the key constraint by construction.
-		visit(types.MustWorld(present...))
-	}
-	return nil
 }
 
 // topKInto returns the world's top-k answer (keys by decreasing score) for

@@ -31,8 +31,9 @@ type wireClient struct {
 }
 
 // stamp attaches the coordinator's fencing epoch to an outgoing worker
-// request.  Unfenced coordinators (no data dir) send nothing, keeping
-// the wire traffic of a non-durable cluster byte-identical to PR 8's.
+// request.  Unfenced coordinators (no data dir) send no fencing header
+// at all, so workers of a non-durable cluster see requests with no
+// epoch and never answer "fenced".
 func (w *wireClient) stamp(req *http.Request) {
 	if w.fence == nil {
 		return

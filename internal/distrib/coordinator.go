@@ -77,7 +77,8 @@ type Options struct {
 	// replays the log and reconciles against the live workers, and every
 	// start bumps a persisted fencing epoch stamped on all worker RPCs so
 	// a superseded coordinator cannot corrupt shards.  Empty disables
-	// durability (PR 8 behavior: the registry lives in memory only).
+	// durability: the registry lives in memory only, nothing is logged
+	// and worker RPCs carry no fencing epoch.
 	DataDir string
 	// HeartbeatTimeout switches membership to heartbeat mode: workers
 	// self-register by POSTing /cluster/join periodically, and the health
@@ -153,11 +154,7 @@ type Coordinator struct {
 	wg       sync.WaitGroup
 }
 
-var (
-	_ engine.Core    = (*Coordinator)(nil)
-	_ engine.Compute = (*Coordinator)(nil)
-	_ engine.Service = (*Coordinator)(nil)
-)
+var _ engine.Service = (*Coordinator)(nil)
 
 // member is one worker's routing state.  alive is advisory: dead members
 // are deprioritized and skipped for new attempts, never removed from the
@@ -497,7 +494,7 @@ func errResponse(req engine.Request, err error) engine.Response {
 }
 
 // ---------------------------------------------------------------------------
-// engine.Core: registry
+// engine.Service: registry
 
 // Register serializes the tree, places it on the ring, and pushes the
 // snapshot to every replica.  At least one replica must accept it.
@@ -667,7 +664,7 @@ func (c *Coordinator) Stats() engine.Stats {
 }
 
 // ---------------------------------------------------------------------------
-// engine.Compute: routed dispatch
+// engine.Service: routed dispatch
 
 // Query routes with a background context.
 func (c *Coordinator) Query(req engine.Request) engine.Response {

@@ -1,12 +1,9 @@
 package engine
 
-// The serving API is split along the RPC boundary of the distributed
-// tier: Core is the registry half (tree ownership, naming, stats) and
-// Compute is the dispatch half (executing validated requests).  A
-// single-process Engine implements both, so today's behavior is the
-// in-process composition of the two; the distributed tier implements
-// Core on the coordinator (authoritative registry + placement) and
-// forwards Compute over the internal RPC boundary to workers, each of
+// The serving API is one interface, Service.  A single-process Engine
+// implements it directly; the distributed tier implements it on the
+// coordinator, which keeps the authoritative registry and placement and
+// forwards queries over the internal RPC boundary to workers, each of
 // which runs a full Engine for its shard.  Handler code is written
 // against Service, so the same HTTP surface fronts either deployment.
 
@@ -16,10 +13,12 @@ import (
 	"consensus/internal/andxor"
 )
 
-// Core is the registry side of the serving API: tree ownership and
-// naming, independent of where queries against those trees execute.
+// Service is a full consensus-serving endpoint: the registry (tree
+// ownership, naming, stats) and the dispatch of validated requests.
+// NewHandler serves any Service over HTTP/JSON, so the single-process
+// engine and the distributed coordinator expose byte-identical APIs.
 // All methods must be safe for concurrent use.
-type Core interface {
+type Service interface {
 	// Register makes t queryable under name, replacing any previous tree
 	// of that name (and invalidating whatever state the previous
 	// registration accumulated — caches, compiled kernels, placement).
@@ -34,12 +33,7 @@ type Core interface {
 	Trees() []string
 	// Stats returns a snapshot of service activity.
 	Stats() Stats
-}
 
-// Compute is the dispatch side of the serving API: executing validated
-// requests against registered trees.  All methods must be safe for
-// concurrent use.
-type Compute interface {
 	// QueryContext executes one request, honoring ctx cancellation.  It
 	// never returns a partial answer: the response carries either the
 	// answer fields of its op or an Error plus Code.
@@ -48,19 +42,4 @@ type Compute interface {
 	DoContext(ctx context.Context, reqs []Request) []Response
 }
 
-// Service is a full consensus-serving endpoint: the registry and the
-// dispatch halves together.  NewHandler serves any Service over
-// HTTP/JSON, so the single-process engine and the distributed
-// coordinator expose byte-identical APIs.
-type Service interface {
-	Core
-	Compute
-}
-
-// The single-process engine is the in-process composition of both
-// halves.
-var (
-	_ Core    = (*Engine)(nil)
-	_ Compute = (*Engine)(nil)
-	_ Service = (*Engine)(nil)
-)
+var _ Service = (*Engine)(nil)

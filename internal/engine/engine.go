@@ -50,7 +50,7 @@ type Options struct {
 	// bytes); 0 selects DefaultCacheEntries, negative disables caching.
 	CacheEntries int
 	// RankWorkers is the per-query parallelism of rank-distribution
-	// computations (genfunc.RanksParallel) and of Monte-Carlo sampling
+	// computations (genfunc.Program.RanksParallel) and of Monte-Carlo sampling
 	// shards; <= 0 selects GOMAXPROCS.
 	RankWorkers int
 

@@ -51,41 +51,6 @@ func WorldSizeDist(t *andxor.Tree) Poly {
 	return compiled(t).WorldSizeDist()
 }
 
-// SubsetSizeDist returns Pr(|pw ∩ S| = i) for the leaf subset S selected by
-// the predicate (Example 2 of the paper).
-func SubsetSizeDist(t *andxor.Tree, inSubset func(i int, l types.Leaf) bool) Poly {
-	p := compiled(t)
-	marked := make([]bool, len(p.leaves))
-	m := 0
-	for i, l := range p.leaves {
-		if marked[i] = inSubset(i, l); marked[i] {
-			m++
-		}
-	}
-	// A world holds at most one alternative per key, so the count never
-	// exceeds the number of keys either.
-	f := p.Eval(func(i int, _ types.Leaf) (int, int) {
-		if marked[i] {
-			return 1, 0
-		}
-		return 0, 0
-	}, min(m, len(p.keys)), 0)
-	return Poly(f.c).Trim(0)
-}
-
-// CoOccurrence returns the probability that all leaves in the given index
-// set are simultaneously present: the coefficient of x^|S| after marking
-// exactly those leaves with x.
-func CoOccurrence(t *andxor.Tree, leafIdx map[int]bool) float64 {
-	m := len(leafIdx)
-	return Eval(t, func(i int, _ types.Leaf) (int, int) {
-		if leafIdx[i] {
-			return 1, 0
-		}
-		return 0, 0
-	}, m, 0).Coeff(m, 0)
-}
-
 // AllAbsent returns the probability that none of the keys in the given set
 // have any alternative present: the constant coefficient after marking
 // every alternative of those keys with x.

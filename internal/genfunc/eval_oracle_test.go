@@ -94,49 +94,15 @@ func TestProgramEvalDualX(t *testing.T) {
 	}
 }
 
-// TestSubsetStatisticsMatchEval1 pins SubsetSizeDist, CoOccurrence and
-// AllAbsent, now on the compiled kernel, to the recursive Eval1 formulas
-// they were computed with before.
+// TestSubsetStatisticsMatchEval1 pins AllAbsent, now on the compiled
+// kernel, to the recursive Eval1 formula it was computed with before.
 func TestSubsetStatisticsMatchEval1(t *testing.T) {
 	for shape := 0; shape < 3; shape++ {
 		for _, n := range []int{1, 6, 23} {
 			tr := testTree(shape, 17*shape+n, n, 3)
 			leaves := tr.LeafAlternatives()
 			rng := rand.New(rand.NewSource(int64(3*shape + n)))
-			marked := map[int]bool{}
-			for i := range leaves {
-				if rng.Intn(3) == 0 {
-					marked[i] = true
-				}
-			}
-			mark := func(i int, _ types.Leaf) int {
-				if marked[i] {
-					return 1
-				}
-				return 0
-			}
-
-			got := SubsetSizeDist(tr, func(i int, _ types.Leaf) bool { return marked[i] })
-			want := Eval1(tr, mark, -1).Trim(0)
-			for i := 0; i < len(got) || i < len(want); i++ {
-				if d := math.Abs(got.Coeff(i) - want.Coeff(i)); d > kernelTol {
-					t.Fatalf("shape=%d n=%d: SubsetSizeDist coeff %d = %g, oracle %g", shape, n, i, got.Coeff(i), want.Coeff(i))
-				}
-			}
-
 			a, b := rng.Intn(len(leaves)), rng.Intn(len(leaves))
-			pair := map[int]bool{a: true, b: true}
-			gotCo := CoOccurrence(tr, pair)
-			wantCo := Eval1(tr, func(i int, _ types.Leaf) int {
-				if pair[i] {
-					return 1
-				}
-				return 0
-			}, len(pair)).Coeff(len(pair))
-			if d := math.Abs(gotCo - wantCo); d > kernelTol {
-				t.Fatalf("shape=%d n=%d: CoOccurrence %g, oracle %g", shape, n, gotCo, wantCo)
-			}
-
 			keys := map[string]bool{leaves[a].Key: true, leaves[b].Key: true}
 			gotAbs := AllAbsent(tr, keys)
 			wantAbs := Eval1(tr, func(_ int, l types.Leaf) int {

@@ -84,74 +84,6 @@ func TestWorldSizeDistMatchesEnumeration(t *testing.T) {
 	}
 }
 
-// Cross-check SubsetSizeDist (Example 2) against enumeration.
-func TestSubsetSizeDistMatchesEnumeration(t *testing.T) {
-	rng := rand.New(rand.NewSource(12))
-	for trial := 0; trial < 20; trial++ {
-		tr := workload.Nested(rng, 2+rng.Intn(5), 2)
-		// Mark a random subset of leaf indices.
-		marked := map[int]bool{}
-		markedLeaves := map[types.Leaf]bool{}
-		for i, l := range tr.LeafAlternatives() {
-			if rng.Intn(2) == 0 {
-				marked[i] = true
-				markedLeaves[l] = true
-			}
-		}
-		p := SubsetSizeDist(tr, func(i int, l types.Leaf) bool { return marked[i] })
-		ws := exact.MustEnumerate(tr)
-		for sz := 0; sz < len(p)+2; sz++ {
-			want := exact.ExpectedOver(ws, func(w *types.World) float64 {
-				cnt := 0
-				for _, l := range w.Leaves() {
-					if markedLeaves[l] {
-						cnt++
-					}
-				}
-				if cnt == sz {
-					return 1
-				}
-				return 0
-			})
-			if !numeric.AlmostEqual(p.Coeff(sz), want, 1e-9) {
-				t.Fatalf("trial %d: Pr(|pw∩S|=%d) genfunc %g enum %g", trial, sz, p.Coeff(sz), want)
-			}
-		}
-	}
-}
-
-func TestCoOccurrenceMatchesEnumeration(t *testing.T) {
-	rng := rand.New(rand.NewSource(13))
-	for trial := 0; trial < 20; trial++ {
-		tr := workload.Nested(rng, 2+rng.Intn(5), 2)
-		leaves := tr.LeafAlternatives()
-		// Pick two distinct random leaves.
-		i := rng.Intn(len(leaves))
-		j := rng.Intn(len(leaves))
-		got := CoOccurrence(tr, map[int]bool{i: true, j: true})
-		ws := exact.MustEnumerate(tr)
-		want := exact.ExpectedOver(ws, func(w *types.World) float64 {
-			if w.Contains(leaves[i]) && w.Contains(leaves[j]) {
-				return 1
-			}
-			return 0
-		})
-		if i == j {
-			want = exact.ExpectedOver(ws, func(w *types.World) float64 {
-				if w.Contains(leaves[i]) {
-					return 1
-				}
-				return 0
-			})
-			// CoOccurrence with a single index counts Pr(leaf present).
-			got = CoOccurrence(tr, map[int]bool{i: true})
-		}
-		if !numeric.AlmostEqual(got, want, 1e-9) {
-			t.Fatalf("trial %d: co-occurrence genfunc %g enum %g", trial, got, want)
-		}
-	}
-}
-
 func TestAllAbsentMatchesEnumeration(t *testing.T) {
 	rng := rand.New(rand.NewSource(14))
 	for trial := 0; trial < 20; trial++ {

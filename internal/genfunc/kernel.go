@@ -26,67 +26,25 @@ import (
 // Ranks computes the same rank distribution as the package-level Ranks on
 // the compiled program.  See Ranks for the statistic's definition and the
 // validation contract.
-func (p *Program) Ranks(k int) (*RankDist, error) {
-	if k < 1 {
-		return nil, errRankCutoff(k)
-	}
-	if err := p.ValidateScores(); err != nil {
-		return nil, err
-	}
-	n := len(p.leaves)
-	fb := p.acquireFloats(n * k)
-	ar := p.acquireArena(k-1, 1)
-	p.ranksRange(ar, k, 0, n, fb.s)
-	p.releaseArena(ar)
-	rd := p.assembleRankDist(k, fb.s)
-	p.releaseFloats(fb)
-	return rd, nil
-}
+func (p *Program) Ranks(k int) (*RankDist, error) { return p.RanksParallel(k, 1) }
 
 // RanksParallel computes Ranks with the score-ordered alternative batch
 // split into contiguous shards, one worker and one pooled arena per
-// shard.  Because every instruction's value is a pure function of the
-// current assignment, each shard reproduces exactly the coefficients the
-// sequential kernel would, and the leaf-order merge makes the result
-// bit-identical to Ranks regardless of worker count.
+// shard; workers <= 0 selects GOMAXPROCS.  Because every instruction's
+// value is a pure function of the current assignment, each shard
+// reproduces exactly the coefficients the sequential kernel would, and the
+// leaf-order merge makes the result bit-identical to Ranks regardless of
+// worker count.
 func (p *Program) RanksParallel(k, workers int) (*RankDist, error) {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	n := len(p.leaves)
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		return p.Ranks(k)
-	}
 	if k < 1 {
 		return nil, errRankCutoff(k)
 	}
 	if err := p.ValidateScores(); err != nil {
 		return nil, err
 	}
-	fb := p.acquireFloats(n * k)
-	contrib := fb.s
-	var wg sync.WaitGroup
-	base, rem := n/workers, n%workers
-	lo := 0
-	for w := 0; w < workers; w++ {
-		hi := lo + base
-		if w < rem {
-			hi++
-		}
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			ar := p.acquireArena(k-1, 1)
-			p.ranksRange(ar, k, lo, hi, contrib)
-			p.releaseArena(ar)
-		}(lo, hi)
-		lo = hi
-	}
-	wg.Wait()
-	rd := p.assembleRankDist(k, contrib)
+	fb := p.acquireFloats(len(p.leaves) * k)
+	p.rankSweep(k, workers, fb.s)
+	rd := p.assembleRankDist(k, k, fb.s)
 	p.releaseFloats(fb)
 	return rd, nil
 }
@@ -115,6 +73,24 @@ func (p *Program) RanksAll(ks []int, workers int) ([]*RankDist, error) {
 	if err := p.ValidateScores(); err != nil {
 		return nil, err
 	}
+	fb := p.acquireFloats(len(p.leaves) * kmax)
+	p.rankSweep(kmax, workers, fb.s)
+	out := make([]*RankDist, len(ks))
+	for i, k := range ks {
+		out[i] = p.assembleRankDist(k, kmax, fb.s)
+	}
+	p.releaseFloats(fb)
+	return out, nil
+}
+
+// rankSweep fills contrib with every alternative's cutoff-k contribution
+// row (row stride k; see ranksRange), split into at most workers
+// contiguous score-order shards run concurrently, each on its own pooled
+// arena (workers <= 0 selects GOMAXPROCS; one shard runs on the calling
+// goroutine).  The split depends only on the leaf count and workers, and
+// every row is a pure function of its alternative, so the rows do not
+// depend on the split at all.
+func (p *Program) rankSweep(k, workers int, contrib []float64) {
 	n := len(p.leaves)
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
@@ -122,41 +98,30 @@ func (p *Program) RanksAll(ks []int, workers int) ([]*RankDist, error) {
 	if workers > n {
 		workers = n
 	}
-	fb := p.acquireFloats(n * kmax)
-	contrib := fb.s
 	if workers <= 1 {
-		ar := p.acquireArena(kmax-1, 1)
-		p.ranksRange(ar, kmax, 0, n, contrib)
+		ar := p.acquireArena(k-1, 1)
+		p.ranksRange(ar, k, 0, n, contrib)
 		p.releaseArena(ar)
-	} else {
-		// The shard split must match RanksParallel's exactly: it depends
-		// only on n and workers, so every per-alternative row here is the
-		// row that a direct call at any of the cutoffs would compute.
-		var wg sync.WaitGroup
-		base, rem := n/workers, n%workers
-		lo := 0
-		for w := 0; w < workers; w++ {
-			hi := lo + base
-			if w < rem {
-				hi++
-			}
-			wg.Add(1)
-			go func(lo, hi int) {
-				defer wg.Done()
-				ar := p.acquireArena(kmax-1, 1)
-				p.ranksRange(ar, kmax, lo, hi, contrib)
-				p.releaseArena(ar)
-			}(lo, hi)
-			lo = hi
+		return
+	}
+	var wg sync.WaitGroup
+	base, rem := n/workers, n%workers
+	lo := 0
+	for w := 0; w < workers; w++ {
+		hi := lo + base
+		if w < rem {
+			hi++
 		}
-		wg.Wait()
+		wg.Add(1)
+		go func(lo, hi int) {
+			defer wg.Done()
+			ar := p.acquireArena(k-1, 1)
+			p.ranksRange(ar, k, lo, hi, contrib)
+			p.releaseArena(ar)
+		}(lo, hi)
+		lo = hi
 	}
-	out := make([]*RankDist, len(ks))
-	for i, k := range ks {
-		out[i] = p.assembleRankDistStride(k, kmax, contrib)
-	}
-	p.releaseFloats(fb)
-	return out, nil
+	wg.Wait()
 }
 
 // ranksRange computes the per-alternative rank contributions for the
@@ -222,20 +187,14 @@ func (p *Program) ranksRange(ar *arena, k, lo, hi int, contrib []float64) {
 	}
 }
 
-// assembleRankDist folds per-alternative contributions into a RankDist,
-// accumulating per key in DFS leaf order — the same accumulation order as
-// the legacy evaluator, which keeps sequential and parallel results
-// bit-identical.
-func (p *Program) assembleRankDist(k int, contrib []float64) *RankDist {
-	return p.assembleRankDistStride(k, k, contrib)
-}
-
-// assembleRankDistStride folds contribution rows laid out with the given
-// row stride (>= k) into a cutoff-k RankDist, reading only each row's
-// k-prefix.  With stride == k this is the plain assembly; a wider stride
-// lets RanksAll assemble several cutoffs from one shared sweep, relying on
-// the truncation-prefix property for the narrower rows.
-func (p *Program) assembleRankDistStride(k, stride int, contrib []float64) *RankDist {
+// assembleRankDist folds contribution rows laid out with the given row
+// stride (>= k) into a cutoff-k RankDist, reading only each row's
+// k-prefix and accumulating per key in DFS leaf order — the same
+// accumulation order as the legacy evaluator, which keeps sequential and
+// parallel results bit-identical.  A stride wider than k lets RanksAll
+// assemble several cutoffs from one shared sweep, relying on the
+// truncation-prefix property for the narrower rows.
+func (p *Program) assembleRankDist(k, stride int, contrib []float64) *RankDist {
 	rd := newRankDist(p.keys, p.keyIdx, k)
 	for a := 0; a < len(p.leaves); a++ {
 		dist := rd.eq[int(p.keyID[a])*(k+1):]

@@ -186,19 +186,68 @@ func TestRanksParallelBitIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	p := Compile(tr)
 	for _, workers := range []int{1, 2, 3, 7, 64} {
-		got, err := RanksParallel(tr, k, workers)
+		got, err := p.RanksParallel(k, workers)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, key := range tr.Keys() {
-			for i := 1; i <= k; i++ {
-				if got.PrEq(key, i) != want.PrEq(key, i) {
-					t.Fatalf("workers=%d: PrEq(%q, %d) = %v, sequential %v",
-						workers, key, i, got.PrEq(key, i), want.PrEq(key, i))
-				}
+		if msg := prefixMismatch(got, want, k); msg != "" {
+			t.Fatalf("workers=%d: %s", workers, msg)
+		}
+	}
+}
+
+// TestRanksParallelMatchesSequential checks the sharded kernel against the
+// sequential one on random BID trees and cutoffs, including workers=0
+// (GOMAXPROCS).
+func TestRanksParallelMatchesSequential(t *testing.T) {
+	rng := rand.New(rand.NewSource(211))
+	for trial := 0; trial < 10; trial++ {
+		tr := workload.BID(rng, 10+rng.Intn(20), 3)
+		k := 1 + rng.Intn(6)
+		seq, err := Ranks(tr, k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p := Compile(tr)
+		for _, workers := range []int{0, 1, 2, 7} {
+			par, err := p.RanksParallel(k, workers)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if msg := prefixMismatch(par, seq, k); msg != "" {
+				t.Fatalf("trial %d workers %d: %s", trial, workers, msg)
 			}
 		}
+	}
+}
+
+// TestRanksParallelValidation checks that a zero cutoff is rejected on the
+// sharded path as on the sequential one.
+func TestRanksParallelValidation(t *testing.T) {
+	p := Compile(workload.Independent(rand.New(rand.NewSource(212)), 4))
+	for _, workers := range []int{1, 4} {
+		if _, err := p.RanksParallel(0, workers); err == nil {
+			t.Fatalf("workers=%d: k=0 must be rejected", workers)
+		}
+	}
+}
+
+// TestRanksParallelNestedTrees checks the sharded kernel on a deeply nested
+// tree, where leaf-to-root paths cross several and/or levels.
+func TestRanksParallelNestedTrees(t *testing.T) {
+	tr := workload.Nested(rand.New(rand.NewSource(213)), 12, 2)
+	seq, err := Ranks(tr, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	par, err := Compile(tr).RanksParallel(4, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if msg := prefixMismatch(par, seq, 4); msg != "" {
+		t.Fatal(msg)
 	}
 }
 
@@ -289,6 +338,29 @@ func BenchmarkCompiledRanksSteadyState(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		p.ranksRange(ar, k, 0, p.NumLeaves(), contrib)
 	}
+}
+
+// BenchmarkRanksParallel compares the sequential rank kernel with the
+// sharded one (GOMAXPROCS workers) on a warm program.
+func BenchmarkRanksParallel(b *testing.B) {
+	p := Compile(workload.BID(rand.New(rand.NewSource(28)), 192, 2))
+	k := 10
+	b.Run("sequential", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := p.Ranks(k); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("parallel", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := p.RanksParallel(k, 0); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 }
 
 // BenchmarkRanksCompiledVsLegacy compares the end-to-end compiled path

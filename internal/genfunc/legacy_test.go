@@ -257,7 +257,7 @@ func expectedRankLegacy(t *andxor.Tree) (map[string]float64, error) {
 }
 
 // validateScoresLegacy is the pre-kernel ValidateScores: one full
-// recursive CoOccurrence evaluation per tied cross-key pair (iterated
+// recursive co-occurrence evaluation per tied cross-key pair (iterated
 // over a float64-keyed map, so the reported pair was nondeterministic;
 // only the error verdict is comparable).
 func validateScoresLegacy(t *andxor.Tree) error {
@@ -276,7 +276,13 @@ func validateScoresLegacy(t *andxor.Tree) error {
 				if leaves[i].Key == leaves[j].Key {
 					continue
 				}
-				if CoOccurrence(t, map[int]bool{i: true, j: true}) > 0 {
+				both := Eval1(t, func(idx int, _ types.Leaf) int {
+					if idx == i || idx == j {
+						return 1
+					}
+					return 0
+				}, 2).Coeff(2)
+				if both > 0 {
 					return fmt.Errorf("genfunc: alternatives %v and %v share score %v and can co-occur; ranking is ill-defined",
 						leaves[i], leaves[j], score)
 				}

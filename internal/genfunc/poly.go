@@ -17,9 +17,8 @@
 // # Compiled incremental kernel
 //
 // One evaluator implements Theorem 1: the compiled kernel.  Every
-// statistic — Eval (any bivariate assignment), SubsetSizeDist,
-// CoOccurrence, AllAbsent, Ranks, RanksParallel, Precedence,
-// PrecedenceMatrix, ExpectedRank, WorldSizeDist — runs on it.  The
+// statistic — Eval (any bivariate assignment), AllAbsent, Ranks,
+// Precedence, PrecedenceMatrix, ExpectedRank, WorldSizeDist — runs on it.  The
 // recursive reference evaluators it replaced (one closure-driven tree
 // walk per generating function, allocating a fresh polynomial at every
 // node) live on only in legacy_test.go, as the oracles of the

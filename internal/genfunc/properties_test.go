@@ -5,7 +5,6 @@ import (
 	"testing"
 	"testing/quick"
 
-	"consensus/internal/types"
 	"consensus/internal/workload"
 )
 
@@ -58,35 +57,6 @@ func TestWorldSizeDistributionProperty(t *testing.T) {
 		return approxEq(sum, 1) && approxEq(mean, total)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 150, Rand: rand.New(rand.NewSource(241))}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// Identity: for any leaf subset S, the subset-size distribution sums to 1
-// and E[|pw ∩ S|] equals the sum of the marked leaves' marginals.
-func TestSubsetSizeDistributionProperty(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		tr := workload.Nested(rng, 1+rng.Intn(6), 2)
-		marks := make([]bool, tr.NumLeaves())
-		for i := range marks {
-			marks[i] = rng.Intn(2) == 0
-		}
-		p := SubsetSizeDist(tr, func(i int, _ types.Leaf) bool { return marks[i] })
-		sum, mean := 0.0, 0.0
-		for i, c := range p {
-			sum += c
-			mean += float64(i) * c
-		}
-		want := 0.0
-		for i, m := range tr.MarginalProbs() {
-			if marks[i] {
-				want += m
-			}
-		}
-		return approxEq(sum, 1) && approxEq(mean, want)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 150, Rand: rand.New(rand.NewSource(242))}); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -1,8 +1,8 @@
 // Package numeric holds the small numeric helpers shared across the
 // repository: harmonic numbers (used by the Upsilon_H ranking function and
-// its 1/H_k approximation bound in Section 5.3), tolerant floating point
-// comparison for cross-checking algebraic computations against enumeration,
-// and compensated summation for long probability sums.
+// its 1/H_k approximation bound in Section 5.3) and tolerant floating
+// point comparison for cross-checking algebraic computations against
+// enumeration.
 package numeric
 
 import "math"
@@ -23,15 +23,6 @@ func Harmonic(k int) float64 {
 	return s
 }
 
-// HarmonicPrefix returns the slice [H_0, H_1, ..., H_k].
-func HarmonicPrefix(k int) []float64 {
-	out := make([]float64, k+1)
-	for i := 1; i <= k; i++ {
-		out[i] = out[i-1] + 1/float64(i)
-	}
-	return out
-}
-
 // AlmostEqual reports whether a and b are equal within tol, interpreted as
 // an absolute tolerance for small magnitudes and relative otherwise.
 func AlmostEqual(a, b, tol float64) bool {
@@ -44,29 +35,4 @@ func AlmostEqual(a, b, tol float64) bool {
 	}
 	scale := math.Max(math.Abs(a), math.Abs(b))
 	return diff <= tol*scale
-}
-
-// Sum returns the compensated (Kahan) sum of xs.
-func Sum(xs []float64) float64 {
-	var s, c float64
-	for _, x := range xs {
-		y := x - c
-		t := s + y
-		c = (t - s) - y
-		s = t
-	}
-	return s
-}
-
-// Clamp01 clamps p into [0, 1]; generating-function arithmetic can drift a
-// hair outside the unit interval and callers that feed probabilities into
-// comparisons want them clamped.
-func Clamp01(p float64) float64 {
-	if p < 0 {
-		return 0
-	}
-	if p > 1 {
-		return 1
-	}
-	return p
 }

@@ -12,8 +12,8 @@ import (
 
 // This file implements the prior top-k ranking semantics the paper's
 // introduction surveys (Soliman et al.'s U-top-k, Hua et al.'s PT-k,
-// Zhang-Chomicki's global top-k, Cormode et al.'s expected rank, and the
-// naive expected-score ranking).  Experiment E15 compares all of them to
+// Cormode et al.'s expected rank, and the naive expected-score ranking;
+// Zhang-Chomicki's global top-k is the Theorem 3 mean, MeanSymDiff).  Experiment E15 compares all of them to
 // the consensus answers under the paper's expected-distance yardstick:
 // Theorem 3 implies the mean answer dominates every other list under
 // E[d_Delta].
@@ -41,15 +41,6 @@ func PTk(t *andxor.Tree, k int, threshold float64) (List, error) {
 		return out[i] < out[j]
 	})
 	return out, nil
-}
-
-// GlobalTopK returns the global top-k answer: the k tuples with the
-// largest Pr(r(t) <= k).  This coincides with the mean answer of
-// Theorem 3 (the paper's point: the consensus framework explains why this
-// previously ad-hoc semantics is distinguished under d_Delta).
-func GlobalTopK(t *andxor.Tree, k int) (List, error) {
-	tau, _, err := MeanSymDiff(t, k)
-	return tau, err
 }
 
 // UTopK returns the U-top-k answer: the single top-k list with the highest

@@ -39,22 +39,6 @@ func TestPTkRecoversMeanAnswer(t *testing.T) {
 	}
 }
 
-func TestGlobalTopKEqualsMean(t *testing.T) {
-	rng := rand.New(rand.NewSource(132))
-	tr := workload.BID(rng, 7, 2)
-	g, err := GlobalTopK(tr, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mean, _, err := MeanSymDiff(tr, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !g.Equal(mean) {
-		t.Fatalf("global %v != mean %v", g, mean)
-	}
-}
-
 func TestUTopKExactAndSampledAgree(t *testing.T) {
 	tr := andxor.Figure1iii()
 	// The three worlds have distinct top-2 answers with probs .3/.3/.4;

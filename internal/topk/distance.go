@@ -21,7 +21,8 @@
 //     2-approximation and a pivot heuristic driven by the pairwise
 //     precedence probabilities Pr(r(ti) < r(tj));
 //   - the prior ranking semantics used as baselines (U-top-k, PT-k,
-//     global top-k, expected rank, expected score).
+//     expected rank, expected score; global top-k is the symmetric
+//     difference mean itself).
 package topk
 
 import "fmt"

@@ -176,20 +176,6 @@ func intersectionObjectiveLegacy(rd *genfunc.RankDist, tau List, k int) float64 
 	return a
 }
 
-func prfFromRanksLegacy(rd *genfunc.RankDist, w WeightFunc) map[string]float64 {
-	out := make(map[string]float64, len(rd.Keys()))
-	for _, key := range rd.Keys() {
-		s := 0.0
-		for i := 1; i <= rd.K; i++ {
-			if wi := w(i); wi != 0 {
-				s += wi * rd.PrEq(key, i)
-			}
-		}
-		out[key] = s
-	}
-	return out
-}
-
 func meanSymDiffRanksLegacy(rd RankSource, k int) List {
 	keys := append([]string(nil), rd.Keys()...)
 	sort.SliceStable(keys, func(i, j int) bool {
