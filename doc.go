@@ -205,10 +205,11 @@
 //
 //	delta kind / condition              cached intermediates
 //	----------------------------------  ------------------------------------
-//	weight-only, kernel resident        repaired into the new epoch: rank
-//	                                    distributions of every resident
-//	                                    cutoff (one shared sweep at the
-//	                                    widest), world-size distribution
+//	weight-only, kernel resident        repaired into the new epoch: the
+//	                                    rank distribution of the tree's
+//	                                    indexed cutoff (the widest one
+//	                                    resident, which serves every
+//	                                    narrower k), world-size distribution
 //	                                    (dirty-path recompute), membership
 //	                                    map (patched marginals) — follow-up
 //	                                    queries are warm cache hits

@@ -15,7 +15,9 @@ package main
 import (
 	"fmt"
 	"log"
+	"maps"
 	"math/rand"
+	"slices"
 
 	consensus "consensus"
 )
@@ -38,10 +40,12 @@ func main() {
 		"s6-attic":   {{44.1, 0.25}, {29.5, 0.55}},
 	}
 
+	// Blocks in sorted name order: map order would change the tree, and
+	// with it the seeded sampling answers, from run to run.
 	var blocks []consensus.Block
-	for name, rs := range sensors {
+	for _, name := range slices.Sorted(maps.Keys(sensors)) {
 		var b consensus.Block
-		for _, r := range rs {
+		for _, r := range sensors[name] {
 			b.Alternatives = append(b.Alternatives, consensus.Leaf{Key: name, Score: r.temp})
 			b.Probs = append(b.Probs, r.prob)
 		}

@@ -183,22 +183,8 @@ func (e *Engine) dispatchApprox(ctx context.Context, resp *Response, te *treeEnt
 		if err != nil {
 			return err
 		}
-		keys := req.Keys
-		if len(keys) == 0 {
-			keys = re.Keys()
-		}
-		resp.Ranks = make(map[string][]float64, len(keys))
-		resp.TopKProb = make(map[string]float64, len(keys))
-		for _, key := range keys {
-			dist := re.Dist(key)
-			if dist == nil {
-				return fmt.Errorf("engine: tree %q has no tuple key %q", req.Tree, key)
-			}
-			if len(dist) > k {
-				dist = dist[:k]
-			}
-			resp.Ranks[key] = dist
-			resp.TopKProb[key] = re.PrLE(key, k)
+		if err := fillRankDist(resp, req, re, k); err != nil {
+			return err
 		}
 		resp.Approx = approxInfo(re.Info.Radius, re.Info.Samples, plan)
 		return nil
@@ -281,17 +267,8 @@ func (e *Engine) dispatchApprox(ctx context.Context, resp *Response, te *treeEnt
 			return err
 		}
 		res := v.(marginals)
-		keys := req.Keys
-		if len(keys) == 0 {
-			keys = te.tree.Keys()
-		}
-		resp.Probs = make(map[string]float64, len(keys))
-		for _, key := range keys {
-			p, ok := res.probs[key]
-			if !ok {
-				return fmt.Errorf("engine: tree %q has no tuple key %q", req.Tree, key)
-			}
-			resp.Probs[key] = p
+		if err := fillMembership(resp, req, te.tree, res.probs); err != nil {
+			return err
 		}
 		resp.Approx = approxInfo(res.info.Radius, res.info.Samples, plan)
 		return nil

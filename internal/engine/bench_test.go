@@ -392,9 +392,9 @@ func BenchmarkMutateVsReregisterRankDist(b *testing.B) {
 // round, both sides apply the same 64 weight-only updates and serve 64
 // k=20 rank-distribution reads, each read current as of the writes before
 // it.  "repair" coalesces the writes into one batched mutation — one
-// entry write lock, one arena patch, one epoch bump, and one shared
-// RanksAll sweep that re-seeds the cache — so all 64 reads are warm
-// hits.  "purge" is the pre-batch engine (carry-over disabled): every
+// entry write lock, one arena patch, one epoch bump, and one RepairRanks
+// sweep at the indexed cutoff (k=20) that re-seeds the cache — so all 64
+// reads are warm hits.  "purge" is the pre-batch engine (carry-over disabled): every
 // write purges the epoch namespace, so the read after it recomputes the
 // full sweep from scratch.  ns/op covers the whole 64-write/64-read
 // round.  Acceptance gate: repair must beat purge by >= 5x.

@@ -127,13 +127,6 @@ type treeEntry struct {
 	// without disturbing other trees or requiring re-registration.
 	epoch atomic.Uint64
 
-	// mu guards rankKs: the rank cutoffs computed under this generation
-	// and epoch, sorted ascending.  A resident distribution with cutoff
-	// K' >= k satisfies every ...Ranks consumer, so topk queries reuse the
-	// smallest resident entry covering k instead of recomputing.
-	mu     sync.Mutex
-	rankKs []int
-
 	// retired is set when this generation is replaced or unregistered.
 	// Queries already in flight on the old entry may insert cache entries
 	// after the retirer's purge ran; they re-purge on completion when they
@@ -147,9 +140,11 @@ type treeEntry struct {
 	// lives in evaluation arenas).  progMu makes the lazy compile safe
 	// under the shared read lock and lets the mutation path patch or swap
 	// the program in place — a sync.Once could not be re-pointed after a
-	// structural mutation.
+	// structural mutation.  progMu also guards rankK, the cutoff of the
+	// widest rank distribution known to be resident (see ranksAtLeast).
 	progMu sync.Mutex
 	prog   *genfunc.Program
+	rankK  int
 }
 
 // program returns the entry's compiled kernel program, compiling on first
@@ -505,26 +500,7 @@ func (e *Engine) dispatch(ctx context.Context, resp *Response, te *treeEntry, re
 		if err != nil {
 			return err
 		}
-		keys := req.Keys
-		if len(keys) == 0 {
-			keys = rd.Keys()
-		}
-		resp.Ranks = make(map[string][]float64, len(keys))
-		resp.TopKProb = make(map[string]float64, len(keys))
-		for _, key := range keys {
-			dist := rd.Dist(key)
-			if dist == nil {
-				// Surface a key typo instead of fabricating a
-				// probability-zero answer for a tuple that does not exist.
-				return errf(CodeUnknownKey, "engine: tree %q has no tuple key %q", req.Tree, key)
-			}
-			if len(dist) > k {
-				dist = dist[:k]
-			}
-			resp.Ranks[key] = dist
-			resp.TopKProb[key] = rd.PrLE(key, k)
-		}
-		return nil
+		return fillRankDist(resp, req, rd, k)
 
 	case OpTopKMean:
 		res, err := e.topkMean(te, req)
@@ -597,20 +573,7 @@ func (e *Engine) dispatch(ctx context.Context, resp *Response, te *treeEntry, re
 		if err != nil {
 			return err
 		}
-		all := v.(map[string]float64)
-		keys := req.Keys
-		if len(keys) == 0 {
-			keys = te.tree.Keys()
-		}
-		resp.Probs = make(map[string]float64, len(keys))
-		for _, key := range keys {
-			p, ok := all[key]
-			if !ok {
-				return errf(CodeUnknownKey, "engine: tree %q has no tuple key %q", req.Tree, key)
-			}
-			resp.Probs[key] = p
-		}
-		return nil
+		return fillMembership(resp, req, te.tree, v.(map[string]float64))
 
 	case OpWorldProb:
 		w, err := types.NewWorld(req.World...)
@@ -641,6 +604,56 @@ func (e *Engine) dispatch(ctx context.Context, resp *Response, te *treeEntry, re
 		return err
 	}
 	return fmt.Errorf("engine: unknown op %q", req.Op)
+}
+
+// rankAnswer is the rank distribution a rank-dist response reads: the
+// exact *genfunc.RankDist or the sampled *approx.RankEstimate.
+type rankAnswer interface {
+	topk.RankSource
+	Dist(key string) []float64
+}
+
+// fillRankDist answers OpRankDist for the requested keys (every key when
+// none is named) from a distribution of cutoff >= k, truncated to k.
+func fillRankDist(resp *Response, req Request, rd rankAnswer, k int) error {
+	keys := req.Keys
+	if len(keys) == 0 {
+		keys = rd.Keys()
+	}
+	resp.Ranks = make(map[string][]float64, len(keys))
+	resp.TopKProb = make(map[string]float64, len(keys))
+	for _, key := range keys {
+		dist := rd.Dist(key)
+		if dist == nil {
+			// Surface a key typo instead of fabricating a
+			// probability-zero answer for a tuple that does not exist.
+			return errf(CodeUnknownKey, "engine: tree %q has no tuple key %q", req.Tree, key)
+		}
+		if len(dist) > k {
+			dist = dist[:k]
+		}
+		resp.Ranks[key] = dist
+		resp.TopKProb[key] = rd.PrLE(key, k)
+	}
+	return nil
+}
+
+// fillMembership answers OpMembership for the requested keys (every key of
+// t when none is named) from the key marginals probs.
+func fillMembership(resp *Response, req Request, t *andxor.Tree, probs map[string]float64) error {
+	keys := req.Keys
+	if len(keys) == 0 {
+		keys = t.Keys()
+	}
+	resp.Probs = make(map[string]float64, len(keys))
+	for _, key := range keys {
+		p, ok := probs[key]
+		if !ok {
+			return errf(CodeUnknownKey, "engine: tree %q has no tuple key %q", req.Tree, key)
+		}
+		resp.Probs[key] = p
+	}
+	return nil
 }
 
 // dispatchSPJ answers OpSPJEval.  Mode handling mirrors dispatch: the op
@@ -727,57 +740,33 @@ func (e *Engine) topkMean(te *treeEntry, req Request) (topkResult, error) {
 	return v.(topkResult), nil
 }
 
-// maxRankKs bounds the per-entry rank-cutoff index: every tracked cutoff
-// costs a cache peek on reuse lookups and a repair slot on every mutation,
-// so a client cycling arbitrary k values must not inflate either.  When
-// the index is full the smallest cutoff is dropped — its cache entry stays
-// resident until the LRU evicts it (an exact-k lookup still hits it), it
-// just stops being found by ranksAtLeast and the mutation repair pass.
-const maxRankKs = 8
-
-// ranks returns the (cached) rank distribution of the tree with cutoff
-// exactly k, recording the cutoff so ranksAtLeast can find it later.
-func (e *Engine) ranks(te *treeEntry, name string, k int) (*genfunc.RankDist, error) {
+// ranksAtLeast returns a (cached) rank distribution with cutoff >= k.
+// Every ...Ranks consumer accepts rd.K >= k, and a truncated evaluation is
+// a bitwise prefix of a wider one, so the entry indexes a single cutoff,
+// rankK: a resident ranks/<rankK> serves every k <= rankK.  A miss
+// computes exactly k, never wider, and re-indexes if k is wider or the
+// indexed entry is gone.  A lost race costs one extra compute at most.
+func (e *Engine) ranksAtLeast(te *treeEntry, name string, k int) (*genfunc.RankDist, error) {
+	te.progMu.Lock()
+	indexed := te.rankK
+	te.progMu.Unlock()
+	if indexed >= k {
+		if v, ok := e.cache.peek(e.key(te, name, "ranks/%d", indexed)); ok {
+			return v.(*genfunc.RankDist), nil
+		}
+	}
 	v, err := e.cache.get(e.key(te, name, "ranks/%d", k), func() (any, error) {
 		return te.program().RanksParallel(k, e.rankWorkers)
 	})
 	if err != nil {
 		return nil, err
 	}
-	rd := v.(*genfunc.RankDist)
-	te.mu.Lock()
-	pos := sort.SearchInts(te.rankKs, k)
-	if pos == len(te.rankKs) || te.rankKs[pos] != k {
-		te.rankKs = append(te.rankKs, 0)
-		copy(te.rankKs[pos+1:], te.rankKs[pos:])
-		te.rankKs[pos] = k
-		if len(te.rankKs) > maxRankKs {
-			// Drop the smallest cutoff: larger resident distributions serve
-			// strictly more ranksAtLeast consumers.
-			te.rankKs = append(te.rankKs[:0], te.rankKs[1:]...)
-		}
+	te.progMu.Lock()
+	if k > te.rankK || te.rankK == indexed {
+		te.rankK = k
 	}
-	te.mu.Unlock()
-	return rd, nil
-}
-
-// ranksAtLeast returns a (cached) rank distribution with cutoff >= k,
-// preferring the smallest resident distribution that already covers k:
-// every ...Ranks consumer accepts rd.K >= k, so a top-k query after a
-// larger rank-dist query reuses that work instead of recomputing.
-func (e *Engine) ranksAtLeast(te *treeEntry, name string, k int) (*genfunc.RankDist, error) {
-	te.mu.Lock()
-	candidates := append([]int(nil), te.rankKs...)
-	te.mu.Unlock()
-	for _, kk := range candidates {
-		if kk < k {
-			continue
-		}
-		if v, ok := e.cache.peek(e.key(te, name, "ranks/%d", kk)); ok {
-			return v.(*genfunc.RankDist), nil
-		}
-	}
-	return e.ranks(te, name, k)
+	te.progMu.Unlock()
+	return v.(*genfunc.RankDist), nil
 }
 
 // upsilons returns the (cached) Section 5.4 Upsilon statistics for cutoff k.

@@ -4,7 +4,6 @@ import (
 	"context"
 	"math/rand"
 	"reflect"
-	"sort"
 	"strings"
 	"testing"
 
@@ -427,42 +426,64 @@ func TestResponseIsolation(t *testing.T) {
 	}
 }
 
-// TestRankCutoffIndexBounded pins the maxRankKs cap: a client cycling
-// arbitrary rank cutoffs must not grow the per-entry cutoff index without
-// bound.  The smallest cutoffs are dropped first; their cache entries stay
-// resident (an exact-k query still hits) — they just stop being reused by
-// ranksAtLeast and the mutation repair pass.
-func TestRankCutoffIndexBounded(t *testing.T) {
-	e, _ := newTestEngine(t, Options{})
-	for k := 1; k <= maxRankKs+4; k++ {
+// TestRankCutoffIndexOneEntry pins the one-cutoff rank index: a cutoff
+// at or below the widest resident distribution is served from it, a
+// weight-only mutation carries exactly that distribution into the new
+// epoch, and once it is evicted a narrower read computes only its own
+// cutoff and re-indexes it.
+func TestRankCutoffIndexOneEntry(t *testing.T) {
+	e, tr := newTestEngine(t, Options{})
+	rankDist := func(k int) int64 {
+		t.Helper()
+		before := e.Stats().Computes
 		mustOk(t, e.Query(Request{Tree: "db", Op: OpRankDist, K: k}))
+		return e.Stats().Computes - before
 	}
+	if got := rankDist(3) + rankDist(7) + rankDist(5); got != 2 {
+		t.Fatalf("k = 3, 7, 5 computed %d distributions, want 2 (5 is served from 7)", got)
+	}
+
+	alt := tr.LeafAlternatives()[0]
+	mustOk(t, e.Query(Request{Tree: "db", Op: OpMutate, Mutation: &MutationRequest{
+		Kind: "set-prob", Key: alt.Key, Score: alt.Score, Prob: 0.42, Renormalize: true,
+	}}))
+	waitRepairs(e)
 	e.mu.RLock()
 	te := e.trees["db"]
 	e.mu.RUnlock()
-	te.mu.Lock()
-	ks := append([]int(nil), te.rankKs...)
-	te.mu.Unlock()
-	if len(ks) != maxRankKs {
-		t.Fatalf("rankKs holds %d cutoffs, want cap %d (got %v)", len(ks), maxRankKs, ks)
-	}
-	// The survivors are the largest cutoffs, still sorted ascending.
-	for i, k := range ks {
-		if want := 5 + i; k != want {
-			t.Fatalf("rankKs[%d] = %d, want %d (got %v)", i, k, want, ks)
+	prefix := epochPrefix("db", te.gen, 1)
+	var ranks []string
+	e.cache.mu.Lock()
+	for key := range e.cache.items {
+		if strings.HasPrefix(key, prefix+"ranks/") {
+			ranks = append(ranks, strings.TrimPrefix(key, prefix))
 		}
 	}
-	// A re-query of a dropped cutoff is a cache hit (the entry is resident)
-	// and must not duplicate or reorder the index.
-	computes := e.Stats().Computes
-	mustOk(t, e.Query(Request{Tree: "db", Op: OpRankDist, K: 1}))
-	if got := e.Stats().Computes; got != computes {
-		t.Fatalf("dropped cutoff recomputed: computes %d -> %d", computes, got)
+	e.cache.mu.Unlock()
+	if !reflect.DeepEqual(ranks, []string{"ranks/7"}) {
+		t.Fatalf("new epoch holds rank entries %v, want [ranks/7]", ranks)
 	}
-	te.mu.Lock()
-	ks2 := append([]int(nil), te.rankKs...)
-	te.mu.Unlock()
-	if len(ks2) != maxRankKs || !sort.IntsAreSorted(ks2) {
-		t.Fatalf("re-query disturbed the cutoff index: %v", ks2)
+	if got := rankDist(2); got != 0 {
+		t.Fatalf("k=2 after the repair computed %d distributions, want 0", got)
+	}
+
+	// A one-entry cache: the size-dist read evicts ranks/7, so k=2 computes
+	// ranks/2, indexes it, and the next k=2 read is a hit.
+	e, _ = newTestEngine(t, Options{CacheEntries: 1})
+	rankDist(7)
+	mustOk(t, e.Query(Request{Tree: "db", Op: OpSizeDist}))
+	if got := rankDist(2); got != 1 {
+		t.Fatalf("k=2 after evicting ranks/7 computed %d distributions, want 1", got)
+	}
+	if got := rankDist(2); got != 0 {
+		t.Fatalf("second k=2 read computed %d distributions, want 0", got)
+	}
+	e.mu.RLock()
+	te = e.trees["db"]
+	e.mu.RUnlock()
+	te.progMu.Lock()
+	defer te.progMu.Unlock()
+	if te.rankK != 2 {
+		t.Fatalf("rankK = %d after ranks/7 was evicted and k=2 read, want 2", te.rankK)
 	}
 }

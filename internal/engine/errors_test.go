@@ -32,6 +32,8 @@ func TestResponseCodes(t *testing.T) {
 		{"unknown tree", Request{Tree: "ghost", Op: OpSizeDist}, CodeUnknownTree},
 		{"unknown key", Request{Tree: "db", Op: OpMembership, Keys: []string{"nope"}}, CodeUnknownKey},
 		{"unknown rank key", Request{Tree: "db", Op: OpRankDist, K: 2, Keys: []string{"nope"}}, CodeUnknownKey},
+		{"unknown approx key", Request{Tree: "db", Op: OpMembership, Mode: ModeApprox, Keys: []string{"nope"}}, CodeUnknownKey},
+		{"unknown approx rank key", Request{Tree: "db", Op: OpRankDist, Mode: ModeApprox, K: 2, Keys: []string{"nope"}}, CodeUnknownKey},
 		{"kemeny cap", Request{Tree: "db", Op: OpRankingConsensus, Method: MethodKemeny}, ""},
 		{"ok", Request{Tree: "db", Op: OpSizeDist}, ""},
 	} {

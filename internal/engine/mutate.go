@@ -15,11 +15,11 @@ package engine
 //   - the engine bumps the entry's mutation epoch, which retargets every
 //     cache key, and decides per cached intermediate between repair and
 //     purge: weight-only deltas against a resident program carry the
-//     cached rank distributions (every resident cutoff, one shared sweep
-//     at the widest), the world-size distribution and the membership map
-//     warm into the new epoch's namespace; everything else — structural
-//     deltas, foreign-typed entries, repair errors — falls back to the
-//     purge and rebuilds lazily.
+//     indexed rank distribution (the entry's one cutoff, rankK), the
+//     world-size distribution and the membership map warm into the new
+//     epoch's namespace; everything else — structural deltas,
+//     foreign-typed entries, repair errors — falls back to the purge and
+//     rebuilds lazily.
 //
 // A batched request (Request.Mutations / Request.Evidences) applies N
 // updates under one entry write lock with a single epoch bump and one
@@ -152,6 +152,7 @@ func (e *Engine) mutate(resp *Response, te *treeEntry, req Request) (repair func
 		prog, patched, changed = prog.ApplyAll(te.tree, ds)
 		te.prog = prog
 	}
+	rankK := te.rankK
 	te.progMu.Unlock()
 
 	// Merge the batch's deltas against the final tree state: affected keys
@@ -189,9 +190,8 @@ func (e *Engine) mutate(resp *Response, te *treeEntry, req Request) (repair func
 
 	// Epoch bump with per-intermediate carry-over.  Weight-only batches
 	// against a resident program repair the cached intermediates into the
-	// new epoch's namespace: the rank distributions of every resident
-	// cutoff re-derive from one shared sweep at the widest cutoff
-	// (RanksAll), the world-size distribution re-derives along the dirty
+	// new epoch's namespace: the indexed rank distribution re-derives at
+	// its cutoff, the world-size distribution re-derives along the dirty
 	// instruction paths only, and the membership map patches the keys the
 	// deltas name.  Structural batches (and foreign-typed cache entries,
 	// and repair errors) keep the purge: those intermediates rebuild
@@ -202,21 +202,12 @@ func (e *Engine) mutate(resp *Response, te *treeEntry, req Request) (repair func
 	old := te.epoch.Load()
 	oldPrefix := epochPrefix(req.Tree, te.gen, old)
 	newPrefix := epochPrefix(req.Tree, te.gen, old+1)
-	var ks []int                   // resident rank cutoffs, ascending
-	var oldRDs []*genfunc.RankDist // their distributions, parallel to ks
+	var oldRD *genfunc.RankDist
 	var sizeDist []float64
 	var membership map[string]float64
 	if patched && !e.repairDisabled {
-		te.mu.Lock()
-		cutoffs := append([]int(nil), te.rankKs...)
-		te.mu.Unlock()
-		for _, k := range cutoffs {
-			if v, ok := e.cache.peek(oldPrefix + fmt.Sprintf("ranks/%d", k)); ok {
-				if rd, ok := v.(*genfunc.RankDist); ok {
-					ks = append(ks, k)
-					oldRDs = append(oldRDs, rd)
-				}
-			}
+		if v, ok := e.cache.peek(oldPrefix + fmt.Sprintf("ranks/%d", rankK)); ok {
+			oldRD, _ = v.(*genfunc.RankDist)
 		}
 		if v, ok := e.cache.peek(oldPrefix + "size-dist"); ok {
 			sizeDist, _ = v.([]float64)
@@ -231,8 +222,8 @@ func (e *Engine) mutate(resp *Response, te *treeEntry, req Request) (repair func
 	te.epoch.Store(old + 1)
 	resp.Epoch = old + 1
 	resp.Method = method
-	if len(oldRDs) == 0 && sizeDist == nil && membership == nil {
-		e.settleEpoch(te, req.Tree, oldPrefix, nil)
+	if oldRD == nil && sizeDist == nil && membership == nil {
+		e.settleEpoch(te, req.Tree, oldPrefix)
 		return nil, nil
 	}
 	// The response leaves with resp.Probs; the repair owns its own copy.
@@ -246,28 +237,18 @@ func (e *Engine) mutate(resp *Response, te *treeEntry, req Request) (repair func
 			if r := recover(); r != nil {
 				log.Printf("engine: cache repair of tree %q panicked, purging its intermediates: %v\n%s", req.Tree, r, debug.Stack())
 				e.cache.removePrefix(newPrefix)
-				e.settleEpoch(te, req.Tree, oldPrefix, nil)
+				e.settleEpoch(te, req.Tree, oldPrefix)
 			}
 		}()
 		if e.repairStart != nil {
 			e.repairStart()
 		}
-		var keptKs []int
-		if len(oldRDs) > 0 {
-			repaired := oldRDs
-			if len(changed) > 0 {
-				// A repair error (e.g. the mutation created a co-occurring
-				// cross-key score tie) leaves the entries to the purge; the
-				// next rank query surfaces the error itself.
-				if rds, err := prog.RanksAll(ks, e.rankWorkers); err == nil {
-					repaired = rds
-				} else {
-					repaired = nil
-				}
-			}
-			for i, rd := range repaired {
-				e.cache.add(newPrefix+fmt.Sprintf("ranks/%d", ks[i]), rd)
-				keptKs = append(keptKs, ks[i])
+		if oldRD != nil {
+			// A repair error (e.g. the mutation created a co-occurring
+			// cross-key score tie) leaves the entry to the purge; the next
+			// rank query surfaces the error itself.
+			if rd, err := prog.RepairRanks(oldRD, changed, e.rankWorkers); err == nil {
+				e.cache.add(newPrefix+fmt.Sprintf("ranks/%d", rankK), rd)
 			}
 		}
 		if sizeDist != nil {
@@ -283,19 +264,17 @@ func (e *Engine) mutate(resp *Response, te *treeEntry, req Request) (repair func
 			}
 			e.cache.add(newPrefix+"membership", nm)
 		}
-		e.settleEpoch(te, req.Tree, oldPrefix, keptKs)
+		e.settleEpoch(te, req.Tree, oldPrefix)
 	}, nil
 }
 
-// settleEpoch ends a mutation's cache carry-over: it records the rank
-// cutoffs resident under the new epoch, purges the old epoch, and
-// re-purges the whole generation if the tree was replaced or removed
+// settleEpoch ends a mutation's cache carry-over: it purges the old epoch
+// and re-purges the whole generation if the tree was replaced or removed
 // meanwhile (the same check exec makes after a read), so nothing the
-// carry-over inserted outlives its generation.
-func (e *Engine) settleEpoch(te *treeEntry, name, oldPrefix string, keptKs []int) {
-	te.mu.Lock()
-	te.rankKs = keptKs
-	te.mu.Unlock()
+// carry-over inserted outlives its generation.  rankK needs no reset: if
+// its distribution was not carried over, the next rank read finds nothing
+// resident and re-indexes.
+func (e *Engine) settleEpoch(te *treeEntry, name, oldPrefix string) {
 	e.cache.removePrefix(oldPrefix)
 	if te.retired.Load() {
 		e.cache.removePrefix(genPrefix(name, te.gen))

@@ -678,8 +678,8 @@ func TestBatchMutateAtomic(t *testing.T) {
 }
 
 // TestRankAndSizeStayWarmAcrossMutation pins the tentpole repair path:
-// after a weight-only mutation the previously cached rank distributions
-// (every resident cutoff) and world-size distribution are carried into
+// after a weight-only mutation the indexed rank distribution (k=7, which
+// also serves k=3) and world-size distribution are carried into
 // the new epoch by the repair pass, so follow-up queries are cache hits
 // — and their answers are bit-identical to a cold recompute.
 func TestRankAndSizeStayWarmAcrossMutation(t *testing.T) {

@@ -16,9 +16,9 @@ import (
 // TestMutationStreamMatchesFreshEngine drives a long set-prob stream
 // through one engine the way the serving benchmark's spill workload does:
 // a 128-block BID tree, renormalizing probability updates interleaved with
-// reads at random cutoffs, so resident rank distributions of several
-// widths are repaired by the shared multi-cutoff sweep and k-answers are
-// served from wider distributions' prefixes.  Afterwards the footrule and
+// reads at random cutoffs, so the indexed rank distribution is repaired
+// at whatever width it has grown to and k-answers are served from wider
+// distributions' prefixes.  Afterwards the footrule and
 // symmetric-difference mean answers and the rank distributions at every
 // k = 1..32 must be byte-identical (epoch aside) to those of a fresh
 // engine registered from the tree's JSON download.

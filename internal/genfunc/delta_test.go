@@ -280,39 +280,6 @@ func TestApplyResetsScoreValidation(t *testing.T) {
 	}
 }
 
-// TestRanksAllBitIdentical pins the shared-sweep multi-cutoff kernel to
-// the direct per-cutoff calls: every distribution RanksAll assembles from
-// the widest sweep must equal Ranks at that cutoff float for float (the
-// truncation-prefix property applied per row), sequential and sharded.
-func TestRanksAllBitIdentical(t *testing.T) {
-	for shape := 0; shape < 3; shape++ {
-		tr := testTree(shape, 31+shape, 14, 3)
-		p := Compile(tr)
-		ks := []int{3, 7, 1, 7, 5}
-		for _, workers := range []int{1, 4} {
-			rds, err := p.RanksAll(ks, workers)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(rds) != len(ks) {
-				t.Fatalf("RanksAll returned %d distributions for %d cutoffs", len(rds), len(ks))
-			}
-			for i, k := range ks {
-				want, err := p.Ranks(k)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if rds[i].K != k {
-					t.Fatalf("shape %d workers %d: cutoff %d came back as K=%d", shape, workers, k, rds[i].K)
-				}
-				if !reflect.DeepEqual(rds[i].eq, want.eq) || !reflect.DeepEqual(rds[i].le, want.le) {
-					t.Fatalf("shape %d workers %d: RanksAll cutoff %d differs from direct Ranks", shape, workers, k)
-				}
-			}
-		}
-	}
-}
-
 // TestApplyAllMatchesSequential pins the batched program patch to the
 // sequential one: one ApplyAll over a batch of weight-only deltas must
 // leave the program in exactly the state the per-delta Apply loop reaches,

@@ -44,43 +44,9 @@ func (p *Program) RanksParallel(k, workers int) (*RankDist, error) {
 	}
 	fb := p.acquireFloats(len(p.leaves) * k)
 	p.rankSweep(k, workers, fb.s)
-	rd := p.assembleRankDist(k, k, fb.s)
+	rd := p.assembleRankDist(k, fb.s)
 	p.releaseFloats(fb)
 	return rd, nil
-}
-
-// RanksAll computes the rank distributions of several cutoffs with one
-// shared sweep at the widest cutoff.  A truncated evaluation is a bitwise
-// prefix of a wider one (the accumulation-order property pinned by
-// TestRanksCutoffPrefixBitIdentical), so assembling each narrower
-// distribution from the shared contribution rows is bit-identical to a
-// direct Ranks/RanksParallel call at that cutoff.  The engine's mutation
-// repair uses this to re-seed every resident cutoff for the price of the
-// widest one.  Duplicate cutoffs are allowed; order is preserved.
-func (p *Program) RanksAll(ks []int, workers int) ([]*RankDist, error) {
-	if len(ks) == 0 {
-		return nil, nil
-	}
-	kmax := ks[0]
-	for _, k := range ks {
-		if k < 1 {
-			return nil, errRankCutoff(k)
-		}
-		if k > kmax {
-			kmax = k
-		}
-	}
-	if err := p.ValidateScores(); err != nil {
-		return nil, err
-	}
-	fb := p.acquireFloats(len(p.leaves) * kmax)
-	p.rankSweep(kmax, workers, fb.s)
-	out := make([]*RankDist, len(ks))
-	for i, k := range ks {
-		out[i] = p.assembleRankDist(k, kmax, fb.s)
-	}
-	p.releaseFloats(fb)
-	return out, nil
 }
 
 // rankSweep fills contrib with every alternative's cutoff-k contribution
@@ -187,18 +153,15 @@ func (p *Program) ranksRange(ar *arena, k, lo, hi int, contrib []float64) {
 	}
 }
 
-// assembleRankDist folds contribution rows laid out with the given row
-// stride (>= k) into a cutoff-k RankDist, reading only each row's
-// k-prefix and accumulating per key in DFS leaf order — the same
+// assembleRankDist folds the cutoff-k contribution rows (row stride k)
+// into a RankDist, accumulating per key in DFS leaf order — the same
 // accumulation order as the legacy evaluator, which keeps sequential and
-// parallel results bit-identical.  A stride wider than k lets RanksAll
-// assemble several cutoffs from one shared sweep, relying on the
-// truncation-prefix property for the narrower rows.
-func (p *Program) assembleRankDist(k, stride int, contrib []float64) *RankDist {
+// parallel results bit-identical.
+func (p *Program) assembleRankDist(k int, contrib []float64) *RankDist {
 	rd := newRankDist(p.keys, p.keyIdx, k)
 	for a := 0; a < len(p.leaves); a++ {
 		dist := rd.eq[int(p.keyID[a])*(k+1):]
-		row := contrib[a*stride : a*stride+k]
+		row := contrib[a*k : a*k+k]
 		for j := 1; j <= k; j++ {
 			dist[j] += row[j-1]
 		}

@@ -417,39 +417,6 @@ func TestRanksCutoffPrefixBitIdentical(t *testing.T) {
 	}
 }
 
-// TestRanksAllMatchesRanksParallel pins the engine's mutation re-seeding
-// path: RanksAll over every cutoff 1..32 (shuffled, with a duplicate)
-// must assemble, per cutoff, exactly the distribution a direct
-// RanksParallel call at that cutoff computes, sequential and sharded.
-func TestRanksAllMatchesRanksParallel(t *testing.T) {
-	ks := rand.New(rand.NewSource(5)).Perm(32)
-	for i := range ks {
-		ks[i]++
-	}
-	ks = append(ks, ks[3])
-	for _, tr := range prefixTestTrees() {
-		p := Compile(tr)
-		for _, workers := range []int{1, 3} {
-			all, err := p.RanksAll(ks, workers)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for i, k := range ks {
-				direct, err := p.RanksParallel(k, workers)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if all[i].K != k {
-					t.Fatalf("cutoff %d came back as K=%d", k, all[i].K)
-				}
-				if msg := prefixMismatch(all[i], direct, k); msg != "" {
-					t.Fatalf("workers %d cutoff %d: RanksAll vs RanksParallel: %s", workers, k, msg)
-				}
-			}
-		}
-	}
-}
-
 // prefixTestTrees are the cross-cutoff test shapes: BID trees with
 // multi-child or-nodes (where the dual kernel's association order once
 // diverged), the three workload shapes, and a 128-block BID tree.
