@@ -233,20 +233,22 @@ func main() {
 			fmt.Printf("cluster %d: %v\n", id, byCluster[id])
 		}
 	case "mutate", "condition":
-		if *batch != "" {
-			if *kind != "" {
-				fail(fmt.Errorf("%s takes either -kind or -batch, not both", cmd))
+		var err error
+		switch {
+		case *batch == "":
+			u := consensus.Update{
+				Kind: consensus.UpdateKind(*kind), Key: *key, Score: *score,
+				Prob: *prob, Label: *label, Renormalize: *renorm,
 			}
-			if err := runMutateBatch(tree, cmd, *batch); err != nil {
-				fail(err)
+			if err = checkKind(cmd, u.Kind); err == nil {
+				err = runMutate(tree, cmd, []consensus.Update{u})
 			}
-			break
+		case *kind != "":
+			err = fmt.Errorf("%s takes either -kind or -batch, not both", cmd)
+		default:
+			err = runMutateBatch(tree, cmd, *batch)
 		}
-		u := consensus.Update{
-			Kind: consensus.UpdateKind(*kind), Key: *key, Score: *score,
-			Prob: *prob, Label: *label, Renormalize: *renorm,
-		}
-		if err := runMutate(tree, cmd, u); err != nil {
+		if err != nil {
 			fail(err)
 		}
 	case "groupby":
@@ -269,34 +271,6 @@ func main() {
 	default:
 		usage()
 	}
-}
-
-// runMutate applies one local mutation or evidence assertion, reports the
-// affected marginals on stderr and writes the mutated tree JSON to stdout
-// (so shell pipelines can chain updates; against a running server the same
-// operations are the engine ops "mutate" and "condition").
-func runMutate(tree *consensus.Tree, cmd string, u consensus.Update) error {
-	if err := checkKind(cmd, u.Kind); err != nil {
-		return err
-	}
-	d, err := tree.Apply(u)
-	if err != nil {
-		return err
-	}
-	for _, k := range d.Keys {
-		if m, ok := tree.KeyMarginal(k); ok {
-			fmt.Fprintf(os.Stderr, "%s: Pr(%s present) = %.6g\n", cmd, k, m)
-		}
-	}
-	for _, k := range d.Removed {
-		fmt.Fprintf(os.Stderr, "%s: %s removed\n", cmd, k)
-	}
-	data, err := tree.MarshalJSON()
-	if err != nil {
-		return err
-	}
-	_, err = fmt.Printf("%s\n", data)
-	return err
 }
 
 // checkKind vets that an update kind belongs to the given subcommand, so
@@ -331,9 +305,8 @@ type batchUpdate struct {
 	Renormalize bool    `json:"renormalize,omitempty"`
 }
 
-// runMutateBatch reads a JSON update array and applies it atomically via
-// Tree.ApplyAll: a failing update anywhere in the batch leaves the tree
-// untouched and nothing is written to stdout.
+// runMutateBatch reads a JSON update array, vets each kind and applies
+// the batch through runMutate.
 func runMutateBatch(tree *consensus.Tree, cmd, path string) error {
 	var data []byte
 	var err error
@@ -362,6 +335,16 @@ func runMutateBatch(tree *consensus.Tree, cmd, path string) error {
 			return fmt.Errorf("batch update %d: %w", i, err)
 		}
 	}
+	return runMutate(tree, cmd, us)
+}
+
+// runMutate applies updates atomically via Tree.ApplyAll (a failing
+// update leaves the tree untouched and nothing is written to stdout),
+// reports the affected marginals and removed keys on stderr and writes
+// the mutated tree JSON to stdout, so shell pipelines can chain updates;
+// against a running server the same operations are the engine ops
+// "mutate" and "condition".
+func runMutate(tree *consensus.Tree, cmd string, us []consensus.Update) error {
 	ds, err := tree.ApplyAll(us)
 	if err != nil {
 		return err

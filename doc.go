@@ -205,21 +205,23 @@
 //
 //	delta kind / condition              cached intermediates
 //	----------------------------------  ------------------------------------
-//	weight-only, kernel resident        repaired into the new epoch: the
-//	                                    rank distribution of the tree's
-//	                                    indexed cutoff (the widest one
-//	                                    resident, which serves every
-//	                                    narrower k), world-size distribution
-//	                                    (dirty-path recompute), membership
-//	                                    map (patched marginals) — follow-up
-//	                                    queries are warm cache hits
-//	structural (insert/delete), kernel  purged; intermediates rebuild
-//	recompiled or absent                lazily on the next query
-//	foreign-typed cache entry, or a     purged (repair falls back rather
-//	repair error                        than trusting the entry)
+//	weight-only, kernel resident        re-derived into the new epoch, if
+//	                                    resident, by the calls a read's
+//	                                    cache miss makes: the rank
+//	                                    distribution of the tree's indexed
+//	                                    cutoff (the widest one resident,
+//	                                    which serves every narrower k),
+//	                                    world-size distribution (dirty-path
+//	                                    recompute), membership map —
+//	                                    follow-up queries are warm hits
+//	structural (insert/delete), kernel  membership map re-derived as above;
+//	recompiled or absent                the rest purged, rebuilding lazily
+//	                                    on the next query
+//	rank sweep error                    that entry purged; the next rank
+//	                                    query reports the error
 //
 // Post-mutation query answers are bit-identical to re-registering the
-// mutated tree cold — repaired intermediates included; docs/ARCHITECTURE.md
+// mutated tree cold — carried intermediates included; docs/ARCHITECTURE.md
 // documents the delta-propagation architecture and the tests pinning that
 // invariant.
 //

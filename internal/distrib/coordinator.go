@@ -46,9 +46,6 @@ type Options struct {
 	// Replication is the replica fan-out per tree; 0 selects
 	// DefaultReplication.  Clamped to the cluster size.
 	Replication int
-	// VNodes is the virtual-node count per worker on the placement ring;
-	// 0 selects the package default.
-	VNodes int
 	// AttemptTimeout bounds each RPC attempt; 0 selects
 	// DefaultAttemptTimeout.
 	AttemptTimeout time.Duration
@@ -115,7 +112,6 @@ type Options struct {
 type Coordinator struct {
 	wc             wireClient
 	replication    int
-	vnodes         int
 	attemptTimeout time.Duration
 	retries        int
 	hedgeDelay     time.Duration
@@ -161,7 +157,8 @@ var _ engine.Service = (*Coordinator)(nil)
 // placement ring (transient death must not reshuffle placements).  load
 // counts coordinator-issued read attempts currently in flight on the
 // worker (load-aware replica selection); lastBeat is the Unix-nano time
-// of the worker's latest heartbeat (heartbeat membership mode).
+// of the worker's latest heartbeat (heartbeat membership mode) or
+// successful health probe (probe mode).
 type member struct {
 	addr     string
 	alive    atomic.Bool
@@ -178,78 +175,28 @@ type shard struct {
 	rw       sync.RWMutex
 	name     string
 	replicas []string // placement order; [0] is the primary
-	epoch    uint64   // mutations applied under this registration
 
-	// snapMu guards snapshot, the mutation epoch it corresponds to and
-	// tree separately from rw: hedged attempts that lose the race may
-	// still consult the snapshot (worker-restore path) after the winning
-	// read returned and released rw, and WAL compaction captures a
-	// consistent (tree, epoch) pair without taking rw — taking rw there
-	// would deadlock against a mutation holding rw while appending to the
-	// log.
-	snapMu    sync.Mutex
-	snapshot  []byte // authoritative serialized tree, rebuilt after every mutation
-	snapEpoch uint64 // the mutation epoch snapshot corresponds to
-	// tree is snapshot parsed: the coordinator's own copy, which a
-	// mutation changes in place under rw's write lock.  Nil until the
-	// first write needs it: parsed trees are pointer-dense,
-	// and holding one per shard from registration on raised a 48-tree
+	// state is the authoritative record: the serialized tree and the
+	// number of mutations applied under this registration, one immutable
+	// pair replaced whole (under rw's write lock) by Register, an
+	// acknowledged write and recovery; it is set before the shard enters
+	// the shard table, so it is never nil.  It is read without rw too:
+	// hedged attempts that lose the race may still restore a worker from
+	// it after the winning read released rw, and WAL compaction
+	// checkpoints it without taking rw, which would deadlock against a
+	// mutation holding rw while appending to the log.
+	state atomic.Pointer[durableShard]
+	// tree is state.Tree parsed: the coordinator's own copy, which a
+	// mutation changes in place.  Guarded by rw's write lock.  Nil until
+	// the first write needs it: parsed trees are pointer-dense, and
+	// holding one per shard from registration on raised a 48-tree
 	// cluster's peak RSS by ~10%, while a tree that is never written
 	// never needs parsing.
 	tree *andxor.Tree
 }
 
-func (s *shard) getSnapshot() []byte {
-	s.snapMu.Lock()
-	defer s.snapMu.Unlock()
-	return s.snapshot
-}
-
-// snapshotState returns the authoritative snapshot together with the
-// mutation epoch it was taken at, as one consistent pair.
-func (s *shard) snapshotState() ([]byte, uint64) {
-	s.snapMu.Lock()
-	defer s.snapMu.Unlock()
-	return s.snapshot, s.snapEpoch
-}
-
-// setSnapshot installs the authoritative state; t is b parsed, or nil to
-// parse b on first use.
-func (s *shard) setSnapshot(b []byte, t *andxor.Tree, epoch uint64) {
-	s.snapMu.Lock()
-	s.snapshot = b
-	s.tree = t
-	s.snapEpoch = epoch
-	s.snapMu.Unlock()
-}
-
-// parsedTree returns the shard's parsed tree, parsing the snapshot on
-// first use.  Only a mutation calls it, under the shard's write lock, so
-// the snapshot cannot change while it is parsed outside snapMu.
-func (s *shard) parsedTree() (*andxor.Tree, error) {
-	s.snapMu.Lock()
-	t, snap := s.tree, s.snapshot
-	s.snapMu.Unlock()
-	if t != nil {
-		return t, nil
-	}
-	t, err := andxor.UnmarshalTree(snap)
-	if err != nil {
-		return nil, err
-	}
-	s.snapMu.Lock()
-	s.tree = t
-	s.snapMu.Unlock()
-	return t, nil
-}
-
-// dropTree forgets the parsed tree after a write changed it without
-// making it authoritative; the next use parses the snapshot again.
-func (s *shard) dropTree() {
-	s.snapMu.Lock()
-	s.tree = nil
-	s.snapMu.Unlock()
-}
+// snapshot returns the authoritative serialized tree.
+func (s *shard) snapshot() []byte { return s.state.Load().Tree }
 
 // fanOut starts fn against every address concurrently; the returned
 // wait blocks until all have finished and returns their results in addrs
@@ -320,7 +267,6 @@ func New(opts Options) (*Coordinator, error) {
 	c := &Coordinator{
 		wc:               wireClient{hc: hc},
 		replication:      replication,
-		vnodes:           opts.VNodes,
 		attemptTimeout:   attemptTimeout,
 		retries:          retries,
 		hedgeDelay:       hedge,
@@ -399,7 +345,7 @@ func New(opts Options) (*Coordinator, error) {
 		c.wal.close()
 		return nil, errors.New("distrib: a coordinator needs at least one worker (or heartbeat membership)")
 	}
-	c.ring = buildRing(c.memberAddrs(), c.vnodes)
+	c.ring = buildRing(c.memberAddrs())
 	c.restoreShards(st)
 	if c.wal != nil {
 		c.reconcile(context.Background())
@@ -512,10 +458,12 @@ func (c *Coordinator) Register(name string, t *andxor.Tree) error {
 		return fmt.Errorf("distrib: serializing tree %q: %w", name, err)
 	}
 
+	rec := &durableShard{Tree: snapshot}
 	c.mu.Lock()
 	sh, ok := c.shards[name]
 	if !ok {
 		sh = &shard{name: name}
+		sh.state.Store(rec)
 		c.shards[name] = sh
 	}
 	replicas := c.ring.replicas(name, c.replication)
@@ -524,8 +472,8 @@ func (c *Coordinator) Register(name string, t *andxor.Tree) error {
 	sh.rw.Lock()
 	defer sh.rw.Unlock()
 	sh.replicas = replicas
-	sh.epoch = 0
-	sh.setSnapshot(snapshot, nil, 0)
+	sh.state.Store(rec)
+	sh.tree = nil
 
 	pushed := 0
 	var lastErr error
@@ -571,7 +519,7 @@ func (c *Coordinator) dropShard(name string, sh *shard) {
 func (c *Coordinator) pushSnapshot(ctx context.Context, addr string, sh *shard) error {
 	actx, cancel := c.attemptCtx(ctx)
 	defer cancel()
-	err := c.wc.putTree(actx, addr, sh.name, sh.getSnapshot())
+	err := c.wc.putTree(actx, addr, sh.name, sh.snapshot())
 	c.noteOutcome(addr, err)
 	return err
 }
@@ -614,7 +562,7 @@ func (c *Coordinator) Tree(name string) (*andxor.Tree, bool) {
 		return nil, false
 	}
 	sh.rw.RLock()
-	snap := sh.getSnapshot()
+	snap := sh.snapshot()
 	sh.rw.RUnlock()
 	t, err := andxor.UnmarshalTree(snap)
 	if err != nil {
@@ -744,7 +692,7 @@ func (c *Coordinator) read(ctx context.Context, req engine.Request, sh *shard) e
 		// The coordinator is the epoch authority: workers restart at
 		// epoch 0 after a snapshot restore, but the shard's count of
 		// mutations since Register matches what a single process reports.
-		resp.Epoch = sh.epoch
+		resp.Epoch = sh.state.Load().Epoch
 	}
 	return resp
 }
@@ -876,7 +824,7 @@ func (c *Coordinator) attempt(ctx context.Context, addr string, req engine.Reque
 		return errResponse(req, err)
 	}
 	if resp.Code == engine.CodeUnknownTree && sh != nil {
-		if perr := c.wc.putTree(actx, addr, sh.name, sh.getSnapshot()); perr == nil {
+		if perr := c.wc.putTree(actx, addr, sh.name, sh.snapshot()); perr == nil {
 			if r2, err2 := c.wc.query(actx, addr, req); err2 == nil {
 				return r2
 			} else {
@@ -915,14 +863,18 @@ func (c *Coordinator) write(ctx context.Context, req engine.Request, sh *shard) 
 	// authoritative below is dropped and parsed again from the snapshot.
 	// A snapshot that does not parse is a local refusal, so replicas that
 	// applied the write count as diverged and are rolled back.
-	tree, localErr := sh.parsedTree()
+	cur := sh.state.Load()
+	var localErr error
+	if sh.tree == nil {
+		sh.tree, localErr = andxor.UnmarshalTree(cur.Tree)
+	}
 	if localErr == nil {
-		_, localErr = tree.ApplyAll(req.Updates())
+		_, localErr = sh.tree.ApplyAll(req.Updates())
 	}
 	changed := localErr == nil
 	var snap []byte
 	if changed {
-		snap, localErr = tree.MarshalJSON()
+		snap, localErr = sh.tree.MarshalJSON()
 	}
 	results := wait()
 
@@ -945,7 +897,7 @@ func (c *Coordinator) write(ctx context.Context, req engine.Request, sh *shard) 
 		}
 	}
 	if changed && (first == nil || first.Error != "" || diverged) {
-		sh.dropTree()
+		sh.tree = nil
 	}
 	switch {
 	case first == nil && !haveFail:
@@ -961,19 +913,19 @@ func (c *Coordinator) write(ctx context.Context, req engine.Request, sh *shard) 
 		heal := context.WithoutCancel(ctx)
 		fanOut(answered, func(addr string) error { return c.pushSnapshot(heal, addr, sh) })()
 		return failResponse(req, engine.CodeUnavailable,
-			"distrib: replicas of tree %q disagreed on the mutation; rolled back to epoch %d", req.Tree, sh.epoch)
+			"distrib: replicas of tree %q disagreed on the mutation; rolled back to epoch %d", req.Tree, cur.Epoch)
 	case first.Error != "":
 		return *first
 	}
-	sh.epoch++
-	sh.setSnapshot(snap, tree, sh.epoch)
-	first.Epoch = sh.epoch
+	next := &durableShard{Epoch: cur.Epoch + 1, Tree: snap}
+	sh.state.Store(next)
+	first.Epoch = next.Epoch
 	// Write-ahead discipline: the new snapshot is logged before the
 	// mutation is acknowledged, so a coordinator restart replays exactly
 	// the acknowledged history.  An append failure refuses the ack — the
 	// disk, not the worker fleet, is the durability bound.
 	if c.wal != nil {
-		if err := c.wal.append(walRecord{Kind: recSnapshot, Name: sh.name, Epoch: sh.epoch, Tree: snap}); err != nil {
+		if err := c.wal.append(walRecord{Kind: recSnapshot, Name: sh.name, Epoch: next.Epoch, Tree: snap}); err != nil {
 			return failResponse(req, engine.CodeUnavailable, "distrib: mutation applied but not durable: %v", err)
 		}
 		c.maybeCompact()
@@ -991,9 +943,9 @@ func (c *Coordinator) maybeCompact() {
 }
 
 // buildDurableState captures the full registry as a checkpoint: fencing
-// epoch, membership, and every shard's consistent (tree, epoch) snapshot
-// pair.  Runs under wal.mu (from compact) and must therefore never take
-// a shard's rw lock — mutations hold rw while appending to the log.
+// epoch, membership, and every shard's authoritative record.  Runs under
+// wal.mu (from compact) and must therefore never take a shard's rw lock —
+// mutations hold rw while appending to the log.
 func (c *Coordinator) buildDurableState() durableState {
 	st := newDurableState()
 	st.FencingEpoch = c.fence.Load()
@@ -1005,8 +957,7 @@ func (c *Coordinator) buildDurableState() durableState {
 	}
 	c.mu.RUnlock()
 	for _, sh := range shards {
-		snap, epoch := sh.snapshotState()
-		st.Shards[sh.name] = durableShard{Epoch: epoch, Tree: snap}
+		st.Shards[sh.name] = *sh.state.Load()
 	}
 	return st
 }
@@ -1023,7 +974,7 @@ func (c *Coordinator) writeReplica(ctx context.Context, addr string, req engine.
 		resp, err := c.wc.query(actx, addr, req)
 		if err == nil && resp.Code == engine.CodeUnknownTree {
 			// Restore-and-reapply: the worker restarted without the shard.
-			if perr := c.wc.putTree(actx, addr, sh.name, sh.getSnapshot()); perr == nil {
+			if perr := c.wc.putTree(actx, addr, sh.name, sh.snapshot()); perr == nil {
 				resp, err = c.wc.query(actx, addr, req)
 			}
 		}
@@ -1190,7 +1141,7 @@ func (c *Coordinator) rebuildRingLocked() {
 		addrs = append(addrs, addr)
 	}
 	sort.Strings(addrs)
-	c.ring = buildRing(addrs, c.vnodes)
+	c.ring = buildRing(addrs)
 	c.epoch++
 }
 
@@ -1266,6 +1217,7 @@ func (c *Coordinator) ProbeOnce(ctx context.Context) {
 			m.alive.Store(false)
 			continue
 		}
+		m.lastBeat.Store(time.Now().UnixNano())
 		if !m.alive.Swap(true) {
 			c.restoreWorker(ctx, m.addr)
 		}

@@ -2,6 +2,7 @@ package distrib
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -10,6 +11,7 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
+	"time"
 
 	"consensus/internal/engine"
 	"consensus/internal/workload"
@@ -317,5 +319,21 @@ func TestCoordinatorStats(t *testing.T) {
 	}
 	if s.Computes == 0 {
 		t.Errorf("Stats.Computes = 0, want the workers' compute counters summed")
+	}
+}
+
+// TestProbeRefreshesBeatAge pins /cluster/members' beat age in probe
+// mode: a successful probe counts as the worker checking in, so the age
+// restarts from it instead of growing from when the member was added.
+func TestProbeRefreshesBeatAge(t *testing.T) {
+	workers := startWorkers(t, 1)
+	c := newTestCoordinator(t, workers, Options{})
+	m := c.memberOf(workers[0].URL)
+	m.lastBeat.Store(time.Now().Add(-time.Hour).UnixNano())
+	c.ProbeOnce(context.Background())
+	for _, info := range c.Members() {
+		if info.BeatAgeMS > 60_000 {
+			t.Fatalf("member %s beat age %d ms after a successful probe; want the time since the probe", info.Addr, info.BeatAgeMS)
+		}
 	}
 }

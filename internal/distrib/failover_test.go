@@ -72,7 +72,7 @@ func TestWALShippingEndpoint(t *testing.T) {
 	if kind != walKindRecords {
 		t.Fatalf("tail fetch answered kind %q, want records", kind)
 	}
-	recs, valid := replayRecords(body)
+	recs, _, valid := replayFrames(body)
 	if valid != len(body) || len(recs) == 0 {
 		t.Fatalf("streamed body is not whole frames: %d records, %d/%d bytes", len(recs), valid, len(body))
 	}

@@ -13,7 +13,7 @@ import (
 const defaultVNodes = 64
 
 // ring is a consistent-hash ring over worker addresses.  Each worker
-// contributes vnodes points; a tree name hashes to a ring position and
+// contributes defaultVNodes points; a tree name hashes to a ring position and
 // its replicas are the next distinct workers clockwise.  The ring is
 // immutable once built — membership changes build a fresh ring — so
 // readers never lock.
@@ -50,15 +50,12 @@ func mix64(x uint64) uint64 {
 	return x
 }
 
-// buildRing builds a ring over the given worker addresses with vnodes
-// virtual points each (<= 0 selects defaultVNodes).
-func buildRing(addrs []string, vnodes int) *ring {
-	if vnodes <= 0 {
-		vnodes = defaultVNodes
-	}
-	r := &ring{points: make([]ringPoint, 0, len(addrs)*vnodes)}
+// buildRing builds a ring over the given worker addresses with
+// defaultVNodes virtual points each.
+func buildRing(addrs []string) *ring {
+	r := &ring{points: make([]ringPoint, 0, len(addrs)*defaultVNodes)}
 	for _, addr := range addrs {
-		for i := 0; i < vnodes; i++ {
+		for i := 0; i < defaultVNodes; i++ {
 			r.points = append(r.points, ringPoint{hash: hash64(addr + "#" + strconv.Itoa(i)), addr: addr})
 		}
 	}

@@ -18,8 +18,8 @@ func testAddrs(n int) []string {
 // membership: a rebuilt ring places every key identically.
 func TestRingDeterministic(t *testing.T) {
 	addrs := testAddrs(5)
-	a := buildRing(addrs, 0)
-	b := buildRing(append([]string(nil), addrs...), 0)
+	a := buildRing(addrs)
+	b := buildRing(append([]string(nil), addrs...))
 	for i := 0; i < 50; i++ {
 		key := fmt.Sprintf("tree%d", i)
 		if ra, rb := a.replicas(key, 3), b.replicas(key, 3); !reflect.DeepEqual(ra, rb) {
@@ -31,7 +31,7 @@ func TestRingDeterministic(t *testing.T) {
 // TestRingReplicasDistinct pins the fan-out contract: n replicas are n
 // distinct workers, clamped to the cluster size.
 func TestRingReplicasDistinct(t *testing.T) {
-	r := buildRing(testAddrs(3), 0)
+	r := buildRing(testAddrs(3))
 	for i := 0; i < 50; i++ {
 		reps := r.replicas(fmt.Sprintf("tree%d", i), 2)
 		if len(reps) != 2 || reps[0] == reps[1] {
@@ -50,7 +50,7 @@ func TestRingReplicasDistinct(t *testing.T) {
 // contiguous runs and one worker ends up in every pair.)
 func TestRingSpread(t *testing.T) {
 	addrs := testAddrs(3)
-	r := buildRing(addrs, 0)
+	r := buildRing(addrs)
 	const keys = 600
 	primaries := make(map[string]int)
 	excluded := make(map[string]int)
@@ -79,8 +79,8 @@ func TestRingSpread(t *testing.T) {
 // primary.
 func TestRingStability(t *testing.T) {
 	addrs := testAddrs(4)
-	before := buildRing(addrs[:3], 0)
-	after := buildRing(addrs, 0)
+	before := buildRing(addrs[:3])
+	after := buildRing(addrs)
 	const keys = 600
 	moved := 0
 	for i := 0; i < keys; i++ {

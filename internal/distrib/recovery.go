@@ -27,10 +27,8 @@ import (
 // Only called from New, before the coordinator serves anything.
 func (c *Coordinator) restoreShards(st durableState) {
 	for name, ds := range st.Shards {
-		sh := &shard{name: name}
-		sh.replicas = c.ring.replicas(name, c.replication)
-		sh.epoch = ds.Epoch
-		sh.setSnapshot(ds.Tree, nil, ds.Epoch)
+		sh := &shard{name: name, replicas: c.ring.replicas(name, c.replication)}
+		sh.state.Store(&ds)
 		c.shards[name] = sh
 	}
 }
@@ -88,7 +86,7 @@ func (c *Coordinator) reconcile(ctx context.Context) {
 	sort.Slice(shards, func(i, j int) bool { return shards[i].name < shards[j].name })
 	for _, sh := range shards {
 		sh.rw.Lock()
-		want := bytes.TrimSpace(sh.getSnapshot())
+		want := bytes.TrimSpace(sh.snapshot())
 		for _, addr := range sh.replicas {
 			if _, reachable := held[addr]; !reachable {
 				continue
@@ -120,9 +118,8 @@ func (c *Coordinator) adoptShard(ctx context.Context, name string, snap []byte) 
 		c.mu.Unlock()
 		return
 	}
-	sh := &shard{name: name}
-	sh.replicas = c.ring.replicas(name, c.replication)
-	sh.setSnapshot(snap, nil, 0)
+	sh := &shard{name: name, replicas: c.ring.replicas(name, c.replication)}
+	sh.state.Store(&durableShard{Tree: snap})
 	c.shards[name] = sh
 	c.mu.Unlock()
 	_ = c.wal.append(walRecord{Kind: recRegister, Name: name, Tree: snap})

@@ -204,13 +204,6 @@ func replayFrames(data []byte) (recs []walRecord, frames [][]byte, valid int) {
 	}
 }
 
-// replayRecords decodes the valid prefix of a segment image without the
-// frame slices (the historical entry point FuzzWALReplay pins).
-func replayRecords(data []byte) (recs []walRecord, valid int) {
-	recs, _, valid = replayFrames(data)
-	return recs, valid
-}
-
 // wal is the open segmented log of one data directory.  All appends,
 // reads and the compaction hold mu, so a checkpoint never loses a
 // concurrent append and a replication read never sees a torn frame.

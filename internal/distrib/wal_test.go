@@ -132,7 +132,7 @@ func TestWALTornTail(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if _, valid := replayRecords(onDisk); valid != len(onDisk) {
+			if _, _, valid := replayFrames(onDisk); valid != len(onDisk) {
 				t.Fatalf("reopened log still has %d trailing garbage bytes", len(onDisk)-valid)
 			}
 			// Appends after recovery land cleanly on the truncated tail.
@@ -281,7 +281,7 @@ func TestWALSegmentRotation(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		recs, _ := replayRecords(data)
+		recs, _, _ := replayFrames(data)
 		if len(recs) == 0 || recs[0].Seq != start {
 			t.Fatalf("segment %s first record seq = %v, want %d", segmentName(start), recs, start)
 		}
@@ -345,7 +345,7 @@ func w1State(t *testing.T, dir string, w *wal) func() durableState {
 			if err != nil {
 				continue
 			}
-			recs, _ := replayRecords(data)
+			recs, _, _ := replayFrames(data)
 			for _, rec := range recs {
 				st.apply(rec)
 			}
@@ -424,7 +424,7 @@ func TestWALRecordsFrom(t *testing.T) {
 	if next != 6 {
 		t.Errorf("next = %d, want 6", next)
 	}
-	recs, valid := replayRecords(data)
+	recs, _, valid := replayFrames(data)
 	if valid != len(data) || len(recs) != 3 {
 		t.Fatalf("streamed %d records (%d/%d bytes valid), want 3 whole frames", len(recs), valid, len(data))
 	}
@@ -580,7 +580,7 @@ func FuzzWALReplay(f *testing.F) {
 		if total != valid {
 			t.Fatalf("frames cover %d bytes, valid prefix is %d", total, valid)
 		}
-		recs2, valid2 := replayRecords(data[:valid])
+		recs2, _, valid2 := replayFrames(data[:valid])
 		if valid2 != valid || len(recs2) != len(recs) {
 			t.Fatalf("replay of the valid prefix disagrees: %d records/%d bytes vs %d/%d",
 				len(recs2), valid2, len(recs), valid)
@@ -593,7 +593,7 @@ func FuzzWALReplay(f *testing.F) {
 			}
 			reencoded = append(reencoded, encodeRecord(payload)...)
 		}
-		recs3, _ := replayRecords(reencoded)
+		recs3, _, _ := replayFrames(reencoded)
 		if len(recs3) != len(recs) {
 			t.Fatalf("re-encoded log replays %d records, want %d", len(recs3), len(recs))
 		}

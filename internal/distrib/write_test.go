@@ -57,7 +57,8 @@ func replicaSnapshots(t *testing.T, c *Coordinator, name string) (snap []byte, e
 	c.mu.RUnlock()
 	sh.rw.RLock()
 	defer sh.rw.RUnlock()
-	snap, epoch = sh.snapshotState()
+	st := sh.state.Load()
+	snap, epoch = st.Tree, st.Epoch
 	held = make(map[string][]byte, len(sh.replicas))
 	for _, addr := range sh.replicas {
 		status, body := get(t, http.DefaultClient, addr+"/v1/trees/"+name)

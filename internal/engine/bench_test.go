@@ -392,7 +392,7 @@ func BenchmarkMutateVsReregisterRankDist(b *testing.B) {
 // round, both sides apply the same 64 weight-only updates and serve 64
 // k=20 rank-distribution reads, each read current as of the writes before
 // it.  "repair" coalesces the writes into one batched mutation — one
-// entry write lock, one arena patch, one epoch bump, and one RepairRanks
+// entry write lock, one arena patch, one epoch bump, and one RanksParallel
 // sweep at the indexed cutoff (k=20) that re-seeds the cache — so all 64
 // reads are warm hits.  "purge" is the pre-batch engine (carry-over disabled): every
 // write purges the epoch namespace, so the read after it recomputes the

@@ -105,7 +105,7 @@ func (c *cache) evictLocked() {
 
 // add inserts an already-computed value under key, replacing any resident
 // entry.  The mutation path uses it to seed a new epoch's namespace with a
-// warm patched intermediate; the inserted entry is born ready, so later
+// re-derived intermediate; the inserted entry is born ready, so later
 // get/peek calls hit immediately.
 func (c *cache) add(key string, val any) {
 	if c.cap <= 0 {
@@ -127,7 +127,9 @@ func (c *cache) add(key string, val any) {
 }
 
 // peek returns the value for key only if it is resident and ready; it
-// never computes or blocks.
+// never computes or blocks, and counts no hit: a caller that serves a
+// lookup from the value counts it (see ranksAtLeast), while a residency
+// check is not a lookup.
 func (c *cache) peek(key string) (any, bool) {
 	if c.cap <= 0 {
 		return nil, false
@@ -150,7 +152,6 @@ func (c *cache) peek(key string) (any, bool) {
 	if e.err != nil {
 		return nil, false
 	}
-	c.hits.Add(1)
 	return e.val, true
 }
 

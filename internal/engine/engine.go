@@ -752,6 +752,7 @@ func (e *Engine) ranksAtLeast(te *treeEntry, name string, k int) (*genfunc.RankD
 	te.progMu.Unlock()
 	if indexed >= k {
 		if v, ok := e.cache.peek(e.key(te, name, "ranks/%d", indexed)); ok {
+			e.cache.hits.Add(1)
 			return v.(*genfunc.RankDist), nil
 		}
 	}

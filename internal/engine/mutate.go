@@ -13,13 +13,14 @@ package engine
 //     deltas) or recompiling (structural deltas), and reports the dirty
 //     instruction set;
 //   - the engine bumps the entry's mutation epoch, which retargets every
-//     cache key, and decides per cached intermediate between repair and
-//     purge: weight-only deltas against a resident program carry the
-//     indexed rank distribution (the entry's one cutoff, rankK), the
-//     world-size distribution and the membership map warm into the new
-//     epoch's namespace; everything else — structural deltas,
-//     foreign-typed entries, repair errors — falls back to the purge and
-//     rebuilds lazily.
+//     cache key, and decides per cached intermediate between carry-over
+//     and purge: the membership map, and after weight-only deltas against
+//     a resident program the indexed rank distribution (the entry's one
+//     cutoff, rankK) and the world-size distribution, are re-derived into
+//     the new epoch's namespace by the same calls a read's cache miss
+//     makes if they were resident; everything else — structural deltas'
+//     rank and size entries, the other intermediates, a rank error — is
+//     purged and rebuilds lazily.
 //
 // A batched request (Request.Mutations / Request.Evidences) applies N
 // updates under one entry write lock with a single epoch bump and one
@@ -42,11 +43,9 @@ package engine
 import (
 	"fmt"
 	"log"
-	"maps"
 	"runtime/debug"
 
 	"consensus/internal/andxor"
-	"consensus/internal/genfunc"
 )
 
 // Method values reported by mutation responses.
@@ -145,11 +144,10 @@ func (e *Engine) mutate(resp *Response, te *treeEntry, req Request) (repair func
 		}
 	}
 	patched := false
-	var changed []int32
 	te.progMu.Lock()
 	prog := te.prog
 	if prog != nil {
-		prog, patched, changed = prog.ApplyAll(te.tree, ds)
+		prog, patched, _ = prog.ApplyAll(te.tree, ds)
 		te.prog = prog
 	}
 	rankK := te.rankK
@@ -188,46 +186,33 @@ func (e *Engine) mutate(resp *Response, te *treeEntry, req Request) (repair func
 		}
 	}
 
-	// Epoch bump with per-intermediate carry-over.  Weight-only batches
-	// against a resident program repair the cached intermediates into the
-	// new epoch's namespace: the indexed rank distribution re-derives at
-	// its cutoff, the world-size distribution re-derives along the dirty
-	// instruction paths only, and the membership map patches the keys the
-	// deltas name.  Structural batches (and foreign-typed cache entries,
-	// and repair errors) keep the purge: those intermediates rebuild
-	// lazily under the new epoch.  All repairs are bit-identical to cold
-	// recomputation (see genfunc.RepairRanks), so a query can never tell
-	// a repaired entry from a recomputed one.  The old epoch's entries are
-	// picked up here; the returned repair carries them over.
+	// Epoch bump with per-intermediate carry-over.  A cached intermediate
+	// of the old epoch that is still resident is carried into the new
+	// epoch's namespace: the indexed rank distribution and the world-size
+	// distribution after a weight-only batch against a resident program
+	// (a structural batch recompiled it, so they rebuild lazily), the
+	// membership map always.  The carry-over re-derives each entry with
+	// the function a read's cache miss calls, on the patched program and
+	// tree, so a carried entry is the one a cold read would compute.
+	// Only residency is checked here; the returned repair does the work.
 	old := te.epoch.Load()
 	oldPrefix := epochPrefix(req.Tree, te.gen, old)
 	newPrefix := epochPrefix(req.Tree, te.gen, old+1)
-	var oldRD *genfunc.RankDist
-	var sizeDist []float64
-	var membership map[string]float64
-	if patched && !e.repairDisabled {
-		if v, ok := e.cache.peek(oldPrefix + fmt.Sprintf("ranks/%d", rankK)); ok {
-			oldRD, _ = v.(*genfunc.RankDist)
-		}
-		if v, ok := e.cache.peek(oldPrefix + "size-dist"); ok {
-			sizeDist, _ = v.([]float64)
-		}
+	resident := func(suffix string) bool {
+		_, ok := e.cache.peek(oldPrefix + suffix)
+		return ok
 	}
-	if v, ok := e.cache.peek(oldPrefix + "membership"); ok {
-		// Checked assertion: a foreign-typed entry under the membership key
-		// must fall back to the purge path, not panic while holding the
-		// entry write lock.
-		membership, _ = v.(map[string]float64)
-	}
+	ranksKey := fmt.Sprintf("ranks/%d", rankK)
+	carryRanks := patched && !e.repairDisabled && resident(ranksKey)
+	carrySize := patched && !e.repairDisabled && resident("size-dist")
+	carryMembership := resident("membership")
 	te.epoch.Store(old + 1)
 	resp.Epoch = old + 1
 	resp.Method = method
-	if oldRD == nil && sizeDist == nil && membership == nil {
+	if !carryRanks && !carrySize && !carryMembership {
 		e.settleEpoch(te, req.Tree, oldPrefix)
 		return nil, nil
 	}
-	// The response leaves with resp.Probs; the repair owns its own copy.
-	probs := maps.Clone(resp.Probs)
 	return func() {
 		defer te.rw.Unlock()
 		// The reply has already left, so a panic on this goroutine has no
@@ -243,26 +228,19 @@ func (e *Engine) mutate(resp *Response, te *treeEntry, req Request) (repair func
 		if e.repairStart != nil {
 			e.repairStart()
 		}
-		if oldRD != nil {
-			// A repair error (e.g. the mutation created a co-occurring
-			// cross-key score tie) leaves the entry to the purge; the next
-			// rank query surfaces the error itself.
-			if rd, err := prog.RepairRanks(oldRD, changed, e.rankWorkers); err == nil {
-				e.cache.add(newPrefix+fmt.Sprintf("ranks/%d", rankK), rd)
+		if carryRanks {
+			// An error (e.g. the mutation created a co-occurring cross-key
+			// score tie) leaves the entry to the purge; the next rank
+			// query surfaces the error itself.
+			if rd, err := prog.RanksParallel(rankK, e.rankWorkers); err == nil {
+				e.cache.add(newPrefix+ranksKey, rd)
 			}
 		}
-		if sizeDist != nil {
-			e.cache.add(newPrefix+"size-dist", []float64(prog.RepairWorldSize(genfunc.Poly(sizeDist), changed)))
+		if carrySize {
+			e.cache.add(newPrefix+"size-dist", []float64(prog.WorldSizeDist()))
 		}
-		if membership != nil {
-			nm := maps.Clone(membership)
-			for _, k := range removedRaw {
-				delete(nm, k)
-			}
-			for k, v := range probs {
-				nm[k] = v
-			}
-			e.cache.add(newPrefix+"membership", nm)
+		if carryMembership {
+			e.cache.add(newPrefix+"membership", te.tree.KeyMarginals())
 		}
 		e.settleEpoch(te, req.Tree, oldPrefix)
 	}, nil

@@ -1096,3 +1096,24 @@ func TestRepairPanicFallsBackToPurge(t *testing.T) {
 		t.Fatalf("rank-dist after a panicked repair differs from a cold engine:\n got  %+v\n want %+v", got, want)
 	}
 }
+
+// TestMutationCountsNoHits pins the hit accounting across a mutation: the
+// carry-over's residency checks of the old epoch's entries are not
+// lookups, so Stats().Hits stays put, while a rank read that the indexed
+// distribution serves through the index still counts its hit.
+func TestMutationCountsNoHits(t *testing.T) {
+	e := New(Options{})
+	warmMutTree(t, e)
+	before := e.Stats()
+	mustOk(t, e.Query(handOffMutation))
+	waitRepairs(e)
+	if got := e.Stats().Hits; got != before.Hits {
+		t.Fatalf("mutation counted hits: %d -> %d", before.Hits, got)
+	}
+	mustOk(t, e.Query(Request{Tree: "db", Op: OpRankDist, K: 1}))
+	after := e.Stats()
+	if after.Hits != before.Hits+1 || after.Computes != before.Computes {
+		t.Fatalf("k=1 read served by the indexed ranks/2: hits %d -> %d, computes %d -> %d; want one hit, no compute",
+			before.Hits, after.Hits, before.Computes, after.Computes)
+	}
+}

@@ -22,8 +22,8 @@ import "consensus/internal/andxor"
 // Apply brings p up to date with a mutation already applied to t (the tree
 // p was compiled from) and returns the current program.  Weight-only
 // deltas patch p in place and return (p, true, changed), where changed is
-// the dirty instruction set — the ids whose fields actually moved; callers
-// repairing cached results off p (RepairRanks, RepairWorldSize) key on it.
+// the dirty instruction set — the ids whose fields actually moved;
+// RepairRanks keys on it.
 // Structural deltas recompile and return (Compile(t), false, nil).  Apply
 // requires exclusive access to p: no evaluation may run concurrently (the
 // engine serializes mutations against queries per tree).
@@ -88,7 +88,9 @@ func (p *Program) ApplyAll(t *andxor.Tree, ds []*andxor.Delta) (*Program, bool, 
 }
 
 // RepairRanks brings a previously computed rank distribution up to date
-// after Apply/ApplyAll reported changed as the dirty instruction set.  An
+// after Apply/ApplyAll reported changed as the dirty instruction set; its
+// caller is perfbench's genfunc layer, which times it against a cold
+// sweep (the engine's carry-over calls RanksParallel directly).  An
 // empty changed set means the instruction array is bitwise unchanged, so
 // old is still exact and returned as-is.  Otherwise every row must be
 // re-derived: the root polynomial is multilinear in the mutated block's
@@ -104,19 +106,6 @@ func (p *Program) RepairRanks(old *RankDist, changed []int32, workers int) (*Ran
 		return old, nil
 	}
 	return p.RanksParallel(old.K, workers)
-}
-
-// RepairWorldSize is RepairRanks' analogue for a cached world-size
-// distribution: an empty changed set returns old unchanged, otherwise the
-// distribution is re-derived through the persistent size buffer, which
-// re-evaluates only the dirty instructions and their ancestor paths (see
-// WorldSizeDist) — the same dirty-path walk arenas use, at a fraction of a
-// full bottom-up pass.
-func (p *Program) RepairWorldSize(old Poly, changed []int32) Poly {
-	if len(changed) == 0 {
-		return old
-	}
-	return p.WorldSizeDist()
 }
 
 // patchWeights writes the delta's edge probabilities and stop mass into

@@ -348,9 +348,8 @@ func TestApplyAllStructuralRecompiles(t *testing.T) {
 
 // TestRepairReusesResultsOnNoOp pins the cheap half of the repair
 // contract: an empty dirty set means the instruction array is bitwise
-// unchanged, so RepairRanks/RepairWorldSize hand back the original results
-// without recomputation (pointer/backing-array identity, not just value
-// equality).
+// unchanged, so RepairRanks hands back the original distribution without
+// recomputation (pointer identity, not just value equality).
 func TestRepairReusesResultsOnNoOp(t *testing.T) {
 	tr := testTree(0, 3, 6, 3)
 	p := Compile(tr)
@@ -365,7 +364,6 @@ func TestRepairReusesResultsOnNoOp(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	oldSize := p.WorldSizeDist()
 
 	// Re-assert the probability the alternative already has: a no-op.
 	d, err := tr.Apply(set)
@@ -383,15 +381,14 @@ func TestRepairReusesResultsOnNoOp(t *testing.T) {
 	if got != old {
 		t.Fatal("RepairRanks recomputed on an empty dirty set")
 	}
-	if gs := p.RepairWorldSize(oldSize, changed); len(gs) != len(oldSize) || (len(gs) > 0 && &gs[0] != &oldSize[0]) {
-		t.Fatal("RepairWorldSize recomputed on an empty dirty set")
-	}
 }
 
 // TestRepairMatchesCold pins the expensive half: after a genuine weight
-// change, the repaired rank and world-size distributions equal a cold
-// compile of the mutated tree float for float, across all three workload
-// shapes and both worker counts.
+// change, the repaired rank distribution and the incremental world-size
+// distribution (the persistent size buffer, evaluated before the patch
+// and re-derived along the dirty paths after it) equal a cold compile of
+// the mutated tree float for float, across all three workload shapes and
+// both worker counts.
 func TestRepairMatchesCold(t *testing.T) {
 	for shape := 0; shape < 3; shape++ {
 		tr := testTree(shape, 17+shape, 12, 3)
@@ -401,7 +398,7 @@ func TestRepairMatchesCold(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		oldSize := p.WorldSizeDist()
+		p.WorldSizeDist()
 		d, err := tr.Apply(andxor.Update{Kind: andxor.UpdateSetProb, Key: alts[0].Key, Score: alts[0].Score, Prob: 0.31, Renormalize: true})
 		if err != nil {
 			t.Fatal(err)
@@ -424,8 +421,8 @@ func TestRepairMatchesCold(t *testing.T) {
 				t.Fatalf("shape %d workers %d: repaired RankDist differs from cold compile", shape, workers)
 			}
 		}
-		if got, want := p.RepairWorldSize(oldSize, changed), cold.WorldSizeDist(); !reflect.DeepEqual(got, want) {
-			t.Fatalf("shape %d: repaired WorldSizeDist differs from cold compile", shape)
+		if got, want := p.WorldSizeDist(), cold.WorldSizeDist(); !reflect.DeepEqual(got, want) {
+			t.Fatalf("shape %d: incremental WorldSizeDist differs from cold compile", shape)
 		}
 	}
 }
