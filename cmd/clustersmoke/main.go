@@ -2,8 +2,9 @@
 // boots one durable coordinator over three loopback workers plus a plain
 // single-process server, registers the same trees on both fronts, and
 // requires byte-identical HTTP response bodies across the six consensus
-// query families of the paper (the E16 cross-check list), a mutation,
-// and the post-mutation re-queries.  It then kills the coordinator and
+// query families of the paper (the E16 cross-check list) plus the
+// world-size distribution and the membership map, a mutation, and the
+// post-mutation re-queries.  It then kills the coordinator and
 // restarts it from its write-ahead log, requiring the recovered front to
 // keep answering byte-identically (queries and tree downloads alike).
 // Next a hot standby tails the recovered coordinator's WAL over the
@@ -130,10 +131,14 @@ func run() error {
 		}
 	}
 
-	// Six families, a mutation, and the six families again after it.
-	queries := append([]string(nil), sixFamilyQueries...)
+	// Six families and the two intermediates a write purges, a mutation,
+	// and all of them again after it: the post-write reads rebuild the
+	// world-size distribution and the membership map on the mutated tree.
+	checks := append([]string(nil), sixFamilyQueries...)
+	checks = append(checks, `{"tree":"indep","op":"size-dist"}`, `{"tree":"indep","op":"membership"}`)
+	queries := append([]string(nil), checks...)
 	queries = append(queries, `{"tree":"indep","op":"condition","evidence":{"kind":"absent","key":"t3"}}`)
-	queries = append(queries, sixFamilyQueries...)
+	queries = append(queries, checks...)
 	for i, q := range queries {
 		if err := compare(fmt.Sprintf("query %d %s", i, opOf(q)), func(base string) ([]byte, error) {
 			return do(http.MethodPost, base+"/v1/query", []byte(q))

@@ -47,8 +47,8 @@
 //     as deltas through the compiled kernel and its pooled arenas,
 //     bit-identical to re-registering the mutated tree but without paying
 //     recompilation on weight-only changes — which also repair the cached
-//     rank/size/membership intermediates into the new epoch instead of
-//     purging them (see docs/ARCHITECTURE.md for the delta path).
+//     rank distribution into the new epoch instead of purging it (see
+//     docs/ARCHITECTURE.md for the delta path).
 //
 // # Quick start
 //
@@ -205,25 +205,24 @@
 //
 //	delta kind / condition              cached intermediates
 //	----------------------------------  ------------------------------------
-//	weight-only, kernel resident        re-derived into the new epoch, if
-//	                                    resident, by the calls a read's
-//	                                    cache miss makes: the rank
-//	                                    distribution of the tree's indexed
-//	                                    cutoff (the widest one resident,
-//	                                    which serves every narrower k),
-//	                                    world-size distribution (dirty-path
-//	                                    recompute), membership map —
-//	                                    follow-up queries are warm hits
-//	structural (insert/delete), kernel  membership map re-derived as above;
-//	recompiled or absent                the rest purged, rebuilding lazily
-//	                                    on the next query
+//	weight-only, kernel resident        the rank distribution of the tree's
+//	                                    indexed cutoff (the widest one
+//	                                    resident, which serves every
+//	                                    narrower k), if resident, is
+//	                                    re-derived into the new epoch by
+//	                                    the call a read's cache miss makes
+//	                                    — follow-up rank queries are warm
+//	                                    hits; everything else purged,
+//	                                    rebuilding lazily on its next query
+//	structural (insert/delete), kernel  all purged, rebuilding lazily on
+//	recompiled or absent                the next query
 //	rank sweep error                    that entry purged; the next rank
 //	                                    query reports the error
 //
 // Post-mutation query answers are bit-identical to re-registering the
-// mutated tree cold — carried intermediates included; docs/ARCHITECTURE.md
-// documents the delta-propagation architecture and the tests pinning that
-// invariant.
+// mutated tree cold — the carried rank distribution included;
+// docs/ARCHITECTURE.md documents the delta-propagation architecture and
+// the tests pinning that invariant.
 //
 // # The compiled exact kernel
 //

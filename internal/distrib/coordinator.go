@@ -447,11 +447,11 @@ func errResponse(req engine.Request, err error) engine.Response {
 // Re-registering a name replaces the tree everywhere, like the
 // single-process engine.
 func (c *Coordinator) Register(name string, t *andxor.Tree) error {
-	if name == "" {
-		return errors.New("engine: tree name must not be empty")
-	}
-	if t == nil {
-		return errors.New("engine: tree must not be nil")
+	// The engine owns the rules for tree names and trees.  Registering on
+	// a throwaway engine applies them before any RPC, so the cluster
+	// refuses exactly what a single process refuses, with its error.
+	if err := engine.New(engine.Options{Workers: 1, CacheEntries: -1}).Register(name, t); err != nil {
+		return err
 	}
 	snapshot, err := json.Marshal(t)
 	if err != nil {

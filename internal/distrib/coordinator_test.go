@@ -13,6 +13,7 @@ import (
 	"testing"
 	"time"
 
+	"consensus/internal/andxor"
 	"consensus/internal/engine"
 	"consensus/internal/workload"
 )
@@ -116,8 +117,8 @@ var sixFamilyRequests = []string{
 // the same trees registered and the same six-family query list posted
 // against a single-process server and against a 3-worker cluster behind
 // the coordinator must produce byte-identical HTTP response bodies —
-// registration echoes, query answers, batches, tree downloads, listings
-// and unknown-tree failures alike.
+// registration echoes and refusals, query answers, batches, tree
+// downloads, listings and unknown-tree failures alike.
 func TestCoordinatorMatchesSingleProcess(t *testing.T) {
 	rng := rand.New(rand.NewSource(16))
 	indep, err := json.Marshal(workload.Independent(rng, 8))
@@ -158,6 +159,25 @@ func TestCoordinatorMatchesSingleProcess(t *testing.T) {
 		s2, b2 := put(t, hc, coordSrv.URL+"/v1/trees/"+reg.name, reg.body)
 		if s1 != 200 || s2 != 200 || !bytes.Equal(b1, b2) {
 			t.Fatalf("register %s: (%d) %s vs (%d) %s", reg.name, s1, b1, s2, b2)
+		}
+	}
+
+	// Names the engine refuses are refused through both fronts with the
+	// same status and body, before the coordinator contacts any replica.
+	for _, path := range []string{"/v1/trees/a@b", "/v1/trees/a%2Fb"} {
+		s1, b1 := put(t, hc, single.URL+path, indep)
+		s2, b2 := put(t, hc, coordSrv.URL+path, indep)
+		if s1 == http.StatusOK || s1 != s2 || !bytes.Equal(b1, b2) {
+			t.Errorf("register %s: single (%d) %s vs coordinator (%d) %s", path, s1, b1, s2, b2)
+		}
+	}
+	for _, reg := range []struct {
+		name string
+		tree *andxor.Tree
+	}{{"", workload.Independent(rng, 2)}, {"nil-tree", nil}} {
+		want := engine.New(engine.Options{}).Register(reg.name, reg.tree)
+		if got := coord.Register(reg.name, reg.tree); got == nil || want == nil || got.Error() != want.Error() {
+			t.Errorf("Register(%q): coordinator %v, single process %v", reg.name, got, want)
 		}
 	}
 

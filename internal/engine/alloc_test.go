@@ -22,7 +22,8 @@ const warmRankAllocBudget = 96
 
 func measureWarmRankAllocs(t *testing.T, rankWorkers int) float64 {
 	t.Helper()
-	e, _ := newTestEngine(t, Options{CacheEntries: -1, RankWorkers: rankWorkers})
+	e, _ := newTestEngine(t, Options{CacheEntries: -1})
+	e.rankWorkers = rankWorkers
 	reqs := []Request{{Tree: "db", Op: OpRankDist, K: 10}}
 	if resp := e.Do(reqs)[0]; !resp.Ok() { // warm program, pools and scratch
 		t.Fatal(resp.Error)
@@ -121,7 +122,8 @@ func TestReRegisterInvalidatesCompiledProgram(t *testing.T) {
 // rank-distribution query with result caching off and the arena pool
 // warm: the steady-state serving cost of a cache-miss workload.
 func BenchmarkEngineWarmUncachedRankDist(b *testing.B) {
-	e := New(Options{CacheEntries: -1, RankWorkers: 1})
+	e := New(Options{CacheEntries: -1})
+	e.rankWorkers = 1
 	if err := e.Register("db", benchTree()); err != nil {
 		b.Fatal(err)
 	}

@@ -249,15 +249,15 @@ func mutateBenchTree() *andxor.Tree {
 
 // BenchmarkMutateVsReregister compares the two ways to change one tuple's
 // probability and read the affected marginal back: the in-place delta path
-// (OpMutate patches the tree, the compiled kernel and every resident
-// cached intermediate — including, since the repair path landed, the k=20
-// rank distribution warmed below — then the query hits the warm cache)
-// versus the pre-mutation workflow (clone the tree, apply the update,
-// re-register — full validation plus cache invalidation — then query
-// cold).  The mutate side now pays the eager rank-repair sweep inside the
-// mutation, so the gap here reflects repair-vs-revalidate rather than the
-// purge-era patch-only margin; BenchmarkMutateRepairVsPurge isolates what
-// the repair itself buys.
+// (OpMutate patches the tree and the compiled kernel and carries the k=20
+// rank distribution warmed below into the new epoch; the membership query
+// then rebuilds the map from the mutated tree) versus the pre-mutation
+// workflow (clone the tree, apply the update, re-register — full
+// validation plus cache invalidation — then query cold).  The mutate side
+// pays the eager rank-repair sweep inside the mutation, so the gap here
+// reflects repair-vs-revalidate rather than the purge-era patch-only
+// margin; BenchmarkMutateRepairVsPurge isolates what the repair itself
+// buys.
 func BenchmarkMutateVsReregister(b *testing.B) {
 	base := mutateBenchTree()
 	alt := base.LeafAlternatives()[0]
@@ -268,8 +268,9 @@ func BenchmarkMutateVsReregister(b *testing.B) {
 		if err := e.Register("db", base); err != nil {
 			b.Fatal(err)
 		}
-		// Warm the kernel and the membership map so the steady-state delta
-		// path — not a first-touch compile — is what is measured.
+		// Warm the kernel, the rank distribution and the membership map so
+		// the steady-state delta path — not a first-touch compile — is
+		// what is measured.
 		if resp := e.Query(Request{Tree: "db", Op: OpRankDist, K: 20}); !resp.Ok() {
 			b.Fatal(resp.Error)
 		}

@@ -49,10 +49,6 @@ type Options struct {
 	// CacheEntries is the LRU capacity (in cached intermediates, not
 	// bytes); 0 selects DefaultCacheEntries, negative disables caching.
 	CacheEntries int
-	// RankWorkers is the per-query parallelism of rank-distribution
-	// computations (genfunc.Program.RanksParallel) and of Monte-Carlo sampling
-	// shards; <= 0 selects GOMAXPROCS.
-	RankWorkers int
 
 	// DefaultMode is applied to requests that leave Request.Mode empty:
 	// ModeExact (also the meaning of ""), ModeApprox or ModeAuto.  A
@@ -81,9 +77,13 @@ type Engine struct {
 	trees   map[string]*treeEntry
 	nextGen uint64
 
-	cache       *cache
-	sem         chan struct{}
-	adm         *Admission
+	cache *cache
+	sem   chan struct{}
+	adm   *Admission
+	// rankWorkers is the per-query parallelism of rank sweeps
+	// (genfunc.Program.RanksParallel) and Monte-Carlo sampling shards:
+	// GOMAXPROCS.  Tests set it to pin the sequential and the sharded
+	// kernels' allocation counts.
 	rankWorkers int
 
 	defaultMode    string
@@ -91,7 +91,7 @@ type Engine struct {
 	defaultDelta   float64
 
 	// repairDisabled forces every mutation down the purge path (no warm
-	// carry-over of rank/size intermediates).  Test/bench knob only: the
+	// carry-over of the rank distribution).  Test/bench knob only: the
 	// repair-vs-purge benchmark needs the old behavior as its baseline.
 	repairDisabled bool
 	// repairStart, when set, runs at the start of every cache repair that
@@ -183,17 +183,13 @@ func New(opts Options) *Engine {
 	case capEntries < 0:
 		capEntries = 0 // cache disabled
 	}
-	rankWorkers := opts.RankWorkers
-	if rankWorkers <= 0 {
-		rankWorkers = runtime.GOMAXPROCS(0)
-	}
 	return &Engine{
 		trees:          make(map[string]*treeEntry),
 		nextGen:        1,
 		cache:          newCache(capEntries),
 		sem:            make(chan struct{}, workers),
 		adm:            NewAdmission(opts.AdmissionCapacity),
-		rankWorkers:    rankWorkers,
+		rankWorkers:    runtime.GOMAXPROCS(0),
 		defaultMode:    opts.DefaultMode,
 		defaultEpsilon: opts.DefaultEpsilon,
 		defaultDelta:   opts.DefaultDelta,

@@ -13,19 +13,19 @@ package engine
 //     deltas) or recompiling (structural deltas), and reports the dirty
 //     instruction set;
 //   - the engine bumps the entry's mutation epoch, which retargets every
-//     cache key, and decides per cached intermediate between carry-over
-//     and purge: the membership map, and after weight-only deltas against
-//     a resident program the indexed rank distribution (the entry's one
-//     cutoff, rankK) and the world-size distribution, are re-derived into
-//     the new epoch's namespace by the same calls a read's cache miss
-//     makes if they were resident; everything else — structural deltas'
-//     rank and size entries, the other intermediates, a rank error — is
-//     purged and rebuilds lazily.
+//     cache key, and carries one cached intermediate over: after
+//     weight-only deltas against a resident program, a resident indexed
+//     rank distribution (the entry's one cutoff, rankK) is re-derived
+//     into the new epoch's namespace by the call a read's cache miss
+//     makes.  Everything else — the rank entry after structural deltas or
+//     a rank error, the world-size distribution, the membership map, the
+//     other intermediates — is purged with the old epoch and rebuilds on
+//     its next read.
 //
 // A batched request (Request.Mutations / Request.Evidences) applies N
 // updates under one entry write lock with a single epoch bump and one
 // repair pass, amortizing the per-mutation costs (arena patching, epoch
-// purge, repair sweeps) across the whole batch.
+// purge, the rank repair sweep) across the whole batch.
 //
 // Ordering discipline: the mutation holds the entry's write lock across
 // all three layers, so a query (which holds the read lock across its
@@ -37,7 +37,7 @@ package engine
 // slot and the admission cost, and keeps the lock until the repair ends.
 // A reader therefore waits exactly as long, and sees exactly the bits,
 // it would if the writer had repaired before answering; only the writer
-// hears back earlier.  A mutation with nothing resident to repair
+// hears back earlier.  A mutation with no rank distribution to repair
 // finishes inline.
 
 import (
@@ -98,7 +98,7 @@ func (r *Request) Updates() []andxor.Update {
 // response reports the new epoch, whether the compiled kernel was patched
 // or recompiled, and the new marginals of the affected keys.
 //
-// When cached intermediates of the old epoch need carrying over, mutate
+// When the old epoch's rank distribution needs carrying over, mutate
 // returns that work as repair, with the entry's write lock still held:
 // the caller answers first and then runs repair, which releases the lock
 // when the cache is settled.  A nil repair means the mutation finished
@@ -186,30 +186,24 @@ func (e *Engine) mutate(resp *Response, te *treeEntry, req Request) (repair func
 		}
 	}
 
-	// Epoch bump with per-intermediate carry-over.  A cached intermediate
-	// of the old epoch that is still resident is carried into the new
-	// epoch's namespace: the indexed rank distribution and the world-size
-	// distribution after a weight-only batch against a resident program
-	// (a structural batch recompiled it, so they rebuild lazily), the
-	// membership map always.  The carry-over re-derives each entry with
-	// the function a read's cache miss calls, on the patched program and
-	// tree, so a carried entry is the one a cold read would compute.
-	// Only residency is checked here; the returned repair does the work.
+	// Epoch bump with the rank carry-over.  After a weight-only batch
+	// against a resident program (a structural batch recompiled it), a
+	// rank distribution still resident at the indexed cutoff is carried
+	// into the new epoch's namespace, re-derived with the function a
+	// read's cache miss calls, on the patched program, so the carried
+	// entry is the one a cold read would compute.  Only residency is
+	// checked here; the returned repair does the work.  Every other
+	// intermediate is purged with the old epoch and rebuilds on its next
+	// read.
 	old := te.epoch.Load()
 	oldPrefix := epochPrefix(req.Tree, te.gen, old)
 	newPrefix := epochPrefix(req.Tree, te.gen, old+1)
-	resident := func(suffix string) bool {
-		_, ok := e.cache.peek(oldPrefix + suffix)
-		return ok
-	}
 	ranksKey := fmt.Sprintf("ranks/%d", rankK)
-	carryRanks := patched && !e.repairDisabled && resident(ranksKey)
-	carrySize := patched && !e.repairDisabled && resident("size-dist")
-	carryMembership := resident("membership")
+	_, resident := e.cache.peek(oldPrefix + ranksKey)
 	te.epoch.Store(old + 1)
 	resp.Epoch = old + 1
 	resp.Method = method
-	if !carryRanks && !carrySize && !carryMembership {
+	if !patched || e.repairDisabled || !resident {
 		e.settleEpoch(te, req.Tree, oldPrefix)
 		return nil, nil
 	}
@@ -228,19 +222,11 @@ func (e *Engine) mutate(resp *Response, te *treeEntry, req Request) (repair func
 		if e.repairStart != nil {
 			e.repairStart()
 		}
-		if carryRanks {
-			// An error (e.g. the mutation created a co-occurring cross-key
-			// score tie) leaves the entry to the purge; the next rank
-			// query surfaces the error itself.
-			if rd, err := prog.RanksParallel(rankK, e.rankWorkers); err == nil {
-				e.cache.add(newPrefix+ranksKey, rd)
-			}
-		}
-		if carrySize {
-			e.cache.add(newPrefix+"size-dist", []float64(prog.WorldSizeDist()))
-		}
-		if carryMembership {
-			e.cache.add(newPrefix+"membership", te.tree.KeyMarginals())
+		// An error (e.g. the mutation created a co-occurring cross-key
+		// score tie) leaves the entry to the purge; the next rank query
+		// surfaces the error itself.
+		if rd, err := prog.RanksParallel(rankK, e.rankWorkers); err == nil {
+			e.cache.add(newPrefix+ranksKey, rd)
 		}
 		e.settleEpoch(te, req.Tree, oldPrefix)
 	}, nil

@@ -18,10 +18,13 @@ import (
 // a 128-block BID tree, renormalizing probability updates interleaved with
 // reads at random cutoffs, so the indexed rank distribution is repaired
 // at whatever width it has grown to and k-answers are served from wider
-// distributions' prefixes.  Afterwards the footrule and
-// symmetric-difference mean answers and the rank distributions at every
-// k = 1..32 must be byte-identical (epoch aside) to those of a fresh
-// engine registered from the tree's JSON download.
+// distributions' prefixes, and every step reads the world-size
+// distribution and the membership map, which each write purges and the
+// next read rebuilds.  Afterwards the footrule and symmetric-difference
+// mean answers and the rank distributions at every k = 1..32, the
+// world-size distribution and the membership map must be byte-identical
+// (epoch aside) to those of a fresh engine registered from the tree's
+// JSON download.
 func TestMutationStreamMatchesFreshEngine(t *testing.T) {
 	for _, seed := range []int64{38, 1401} {
 		t.Run(fmt.Sprint("seed=", seed), func(t *testing.T) {
@@ -41,9 +44,13 @@ func TestMutationStreamMatchesFreshEngine(t *testing.T) {
 					{Tree: "db", Op: OpRankDist, K: k},
 				}
 			}
+			uncut := []Request{{Tree: "db", Op: OpSizeDist}, {Tree: "db", Op: OpMembership}}
 			const mutations = 60
 			for m := 0; m < mutations; m++ {
 				for _, req := range readAt(1 + rng.Intn(32))[:1+rng.Intn(3)] {
+					spillQuery(t, hotSrv, req)
+				}
+				for _, req := range uncut {
 					spillQuery(t, hotSrv, req)
 				}
 				cur, _ := hot.Tree("db")
@@ -67,13 +74,15 @@ func TestMutationStreamMatchesFreshEngine(t *testing.T) {
 			defer freshSrv.Close()
 			doJSON(t, freshSrv, http.MethodPut, "/v1/trees/db", doc, http.StatusOK, nil)
 
+			reads := uncut
 			for k := 1; k <= 32; k++ {
-				for _, req := range readAt(k) {
-					got := withoutEpoch(t, spillQuery(t, hotSrv, req))
-					want := withoutEpoch(t, spillQuery(t, freshSrv, req))
-					if !bytes.Equal(got, want) {
-						t.Fatalf("%s/%s k=%d after %d mutations:\nmutated %s\nfresh   %s", req.Op, req.Metric, k, mutations, got, want)
-					}
+				reads = append(reads, readAt(k)...)
+			}
+			for _, req := range reads {
+				got := withoutEpoch(t, spillQuery(t, hotSrv, req))
+				want := withoutEpoch(t, spillQuery(t, freshSrv, req))
+				if !bytes.Equal(got, want) {
+					t.Fatalf("%s/%s k=%d after %d mutations:\nmutated %s\nfresh   %s", req.Op, req.Metric, req.K, mutations, got, want)
 				}
 			}
 		})

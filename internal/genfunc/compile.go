@@ -102,9 +102,9 @@ type Program struct {
 
 	// Arena and scratch recycling.  pools holds one sync.Pool of arenas
 	// per (xcap, ycap) shape; scratch recycles float64 buffers (rank
-	// contribution rows).  Both make warm evaluations — repeated engine
-	// queries, RanksParallel worker shards, precedence sweeps — steady-
-	// state allocation-free.  The pools live on the Program, so an engine
+	// contribution rows, world-size rows).  Both make warm evaluations —
+	// repeated engine queries, RanksParallel worker shards, precedence
+	// sweeps — steady-state allocation-free.  The pools live on the Program, so an engine
 	// re-registering a tree name drops the whole pool family with the old
 	// generation's Program (no cross-generation arena reuse is possible by
 	// construction).
@@ -137,17 +137,6 @@ type Program struct {
 	sizeOnce sync.Once
 	sizeLens []int32
 	sizeOffs []int32
-
-	// sizeMu guards the persistent world-size evaluation state: sizeBuf
-	// holds the last full bottom-up evaluation (sizeOffs layout), and
-	// sizeDirty lists the instructions whose weights changed since it was
-	// filled.  The next WorldSizeDist re-evaluates only the dirty
-	// instructions and their ancestors (see kernel.go), which is what lets
-	// the engine repair a cached world-size distribution through a
-	// mutation at dirty-path cost instead of a full pass.
-	sizeMu    sync.Mutex
-	sizeBuf   []float64
-	sizeDirty []int32
 }
 
 // progCache memoizes Compile per source tree, weakly keyed so the cache

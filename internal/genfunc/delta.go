@@ -17,46 +17,35 @@ package genfunc
 // children, re-evaluating the changed instructions and their ancestors
 // lands every arena on the cold program's state too.
 
-import "consensus/internal/andxor"
+import (
+	"slices"
+
+	"consensus/internal/andxor"
+)
 
 // Apply brings p up to date with a mutation already applied to t (the tree
-// p was compiled from) and returns the current program.  Weight-only
-// deltas patch p in place and return (p, true, changed), where changed is
-// the dirty instruction set — the ids whose fields actually moved;
-// RepairRanks keys on it.
-// Structural deltas recompile and return (Compile(t), false, nil).  Apply
-// requires exclusive access to p: no evaluation may run concurrently (the
-// engine serializes mutations against queries per tree).
+// p was compiled from) and returns the current program; it is ApplyAll of
+// the one delta.
 func (p *Program) Apply(t *andxor.Tree, d *andxor.Delta) (*Program, bool, []int32) {
-	if d == nil || d.Structural {
-		return Compile(t), false, nil
-	}
-	changed := p.patchWeights(d)
-	// Weight changes can flip the score-validity verdict: whether two tied
-	// alternatives of different keys co-occur with positive probability
-	// depends on the edge weights.
-	p.valMu.Lock()
-	p.valDone = false
-	p.valErr = nil
-	p.valMu.Unlock()
-	if len(changed) > 0 {
-		p.markPatched(changed)
-	}
-	return p, true, changed
+	return p.ApplyAll(t, []*andxor.Delta{d})
 }
 
 // ApplyAll brings p up to date with a batch of mutations already applied
-// to t (in order), amortizing the per-delta costs: the weight patches of
-// the whole batch accumulate into one dirty instruction set, the
-// score-validation verdict resets once and the weight generation advances
-// once (so each pooled arena catches up in one pass), instead of per
-// update.  A structural delta anywhere in the batch recompiles once,
-// covering the whole batch (the tree already carries every update).  The return contract matches Apply, with changed the
-// union of the batch's dirty instruction sets.
+// to t (in order) and returns the current program.  Weight-only deltas
+// patch p in place and return (p, true, changed), where changed is the
+// dirty instruction set — the ids whose fields actually moved, the union
+// over the batch; RepairRanks keys on it.  The batch amortizes the
+// per-delta costs: the score-validation verdict resets once and the
+// weight generation advances once (so each pooled arena catches up in one
+// pass), instead of per update.  A nil or structural delta anywhere in
+// the batch recompiles once, covering the whole batch (the tree already
+// carries every update), and returns (Compile(t), false, nil).  ApplyAll
+// requires exclusive access to p: no evaluation may run concurrently (the
+// engine serializes mutations against queries per tree).
 func (p *Program) ApplyAll(t *andxor.Tree, ds []*andxor.Delta) (*Program, bool, []int32) {
 	for _, d := range ds {
 		if d == nil || d.Structural {
-			return p.Apply(t, d)
+			return Compile(t), false, nil
 		}
 	}
 	if len(ds) == 0 {
@@ -64,19 +53,11 @@ func (p *Program) ApplyAll(t *andxor.Tree, ds []*andxor.Delta) (*Program, bool, 
 	}
 	var changed []int32
 	for _, d := range ds {
-		for _, id := range p.patchWeights(d) {
-			dup := false
-			for _, c := range changed {
-				if c == id {
-					dup = true
-					break
-				}
-			}
-			if !dup {
-				changed = append(changed, id)
-			}
-		}
+		changed = p.patchWeights(d, changed)
 	}
+	// Weight changes can flip the score-validity verdict: whether two tied
+	// alternatives of different keys co-occur with positive probability
+	// depends on the edge weights.
 	p.valMu.Lock()
 	p.valDone = false
 	p.valErr = nil
@@ -109,20 +90,16 @@ func (p *Program) RepairRanks(old *RankDist, changed []int32, workers int) (*Ran
 }
 
 // patchWeights writes the delta's edge probabilities and stop mass into
-// the instruction array and returns the ids of the instructions whose
-// fields actually changed.  Values are written unconditionally (the Delta
-// holds exactly the floats a cold compile reads), but unchanged
-// instructions are not reported so arenas skip re-evaluation entirely for
-// no-op updates.
-func (p *Program) patchWeights(d *andxor.Delta) []int32 {
-	changed := make([]int32, 0, len(d.Leaves)+1)
+// the instruction array and adds the ids of the instructions whose fields
+// actually changed to changed, once each.  Values are written
+// unconditionally (the Delta holds exactly the floats a cold compile
+// reads), but unchanged instructions are not reported so arenas skip
+// re-evaluation entirely for no-op updates.
+func (p *Program) patchWeights(d *andxor.Delta, changed []int32) []int32 {
 	mark := func(id int32) {
-		for _, c := range changed {
-			if c == id {
-				return
-			}
+		if !slices.Contains(changed, id) {
+			changed = append(changed, id)
 		}
-		changed = append(changed, id)
 	}
 	for i, li := range d.Leaves {
 		id := p.leafEdge[li]
@@ -152,13 +129,6 @@ func (p *Program) patchWeights(d *andxor.Delta) []int32 {
 			mark(gid)
 		}
 		in.c = d.Stop
-	}
-	if len(changed) > 0 {
-		// Invalidate the persistent world-size buffer's rows for the next
-		// WorldSizeDist, which repairs them along their root paths.
-		p.sizeMu.Lock()
-		p.sizeDirty = append(p.sizeDirty, changed...)
-		p.sizeMu.Unlock()
 	}
 	return changed
 }

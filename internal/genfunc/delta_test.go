@@ -384,11 +384,11 @@ func TestRepairReusesResultsOnNoOp(t *testing.T) {
 }
 
 // TestRepairMatchesCold pins the expensive half: after a genuine weight
-// change, the repaired rank distribution and the incremental world-size
-// distribution (the persistent size buffer, evaluated before the patch
-// and re-derived along the dirty paths after it) equal a cold compile of
-// the mutated tree float for float, across all three workload shapes and
-// both worker counts.
+// change, the repaired rank distribution and the patched program's
+// world-size distribution (also evaluated before the patch, so its pooled
+// buffer has held the old weights' rows) equal a cold compile of the
+// mutated tree float for float, across all three workload shapes and both
+// worker counts.
 func TestRepairMatchesCold(t *testing.T) {
 	for shape := 0; shape < 3; shape++ {
 		tr := testTree(shape, 17+shape, 12, 3)

@@ -1,7 +1,6 @@
 package genfunc
 
 import (
-	"math/bits"
 	"runtime"
 	"sync"
 )
@@ -327,74 +326,39 @@ func (p *Program) sizeExtents() (lens, offs []int32) {
 
 // WorldSizeDist computes the possible-world size distribution on the
 // compiled program: every leaf is assigned x and the untruncated root
-// polynomial is evaluated bottom-up over a persistent per-Program buffer.
+// polynomial is evaluated in one bottom-up pass over a pooled buffer.
 // Unlike the arena kernels this uses exact per-instruction polynomial
 // sizes (degree bounds are known statically once every leaf is x), so
 // large trees cost the same O(Σ product sizes) as the legacy evaluator —
 // minus its per-node allocations and recursion.
-//
-// The buffer carries over across weight mutations: patchWeights records
-// the changed instructions in sizeDirty, and the next call re-evaluates
-// only those and their ancestor paths (ascending instruction id is a
-// topological order, so children rewrite before parents).  The repair is
-// bit-identical to a full pass because every instruction's row is a pure
-// write-first function of its children's rows — recomputed or carried, a
-// row holds exactly the floats the full pass writes.
 func (p *Program) WorldSizeDist() Poly {
 	lens, offs := p.sizeExtents()
 	n := len(p.insts)
-	p.sizeMu.Lock()
-	switch {
-	case p.sizeBuf == nil:
-		p.sizeBuf = make([]float64, offs[n])
-		for i := range p.insts {
-			p.sizeRecompute(lens, offs, int32(i))
-		}
-	case len(p.sizeDirty) > 0:
-		dirty := make([]uint64, (n+63)/64)
-		for _, id := range p.sizeDirty {
-			for i := id; i >= 0; i = p.insts[i].parent {
-				w, bit := i>>6, uint64(1)<<(i&63)
-				if dirty[w]&bit != 0 {
-					break // the rest of this root path is already marked
-				}
-				dirty[w] |= bit
-			}
-		}
-		for w, word := range dirty {
-			base := int32(w) << 6
-			for word != 0 {
-				p.sizeRecompute(lens, offs, base+int32(bits.TrailingZeros64(word)))
-				word &= word - 1
-			}
-		}
+	fb := p.acquireFloats(int(offs[n]))
+	for i := range p.insts {
+		p.sizeRecompute(fb.s, lens, offs, int32(i))
 	}
-	p.sizeDirty = p.sizeDirty[:0]
-	root := p.sizeBuf[offs[n-1]:offs[n]]
+	root := fb.s[offs[n-1]:offs[n]]
 	out := Poly(append([]float64(nil), root...)).Trim(0)
-	p.sizeMu.Unlock()
+	p.releaseFloats(fb)
 	return out
 }
 
-// sizeRecompute rewrites instruction id's world-size row as a write-first
-// function of its children's rows: every cell of the row is stored, never
-// accumulated into, so the row lands on the same bits whether the buffer
-// is fresh (full pass) or carries a previous evaluation (dirty-path
-// repair).
-func (p *Program) sizeRecompute(lens, offs []int32, id int32) {
+// sizeRecompute writes instruction id's world-size row into buf (laid out
+// by sizeExtents) from its children's rows, which ascending instruction
+// order has already written.  buf starts zeroed, so only the nonzero
+// cells are written.
+func (p *Program) sizeRecompute(buf []float64, lens, offs []int32, id int32) {
 	in := &p.insts[id]
-	buf := p.sizeBuf
 	dst := buf[offs[id] : offs[id]+lens[id]]
 	switch in.op {
 	case opLeaf:
-		dst[0], dst[1] = 0, 1
+		dst[1] = 1
 	case opSum:
-		la := lens[in.a]
-		a := buf[offs[in.a] : offs[in.a]+la]
+		a := buf[offs[in.a] : offs[in.a]+lens[in.a]]
 		for k, v := range a {
 			dst[k] = in.wa * v
 		}
-		clear(dst[la:])
 		if in.b >= 0 {
 			b := buf[offs[in.b] : offs[in.b]+lens[in.b]]
 			for k, v := range b {
@@ -404,9 +368,7 @@ func (p *Program) sizeRecompute(lens, offs []int32, id int32) {
 		dst[0] += in.c
 	default:
 		// World-size rows are exact-width (dst is precisely
-		// len(a)+len(b)-1), so the untruncated kernel applies; convFull
-		// accumulates, so the row clears first.
-		clear(dst)
+		// len(a)+len(b)-1), so the untruncated kernel applies.
 		a := buf[offs[in.a] : offs[in.a]+lens[in.a]]
 		b := buf[offs[in.b] : offs[in.b]+lens[in.b]]
 		convFull(dst, a, b)
